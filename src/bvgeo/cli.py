@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("resample", help="constant-speed resample a curve file")
-    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--source", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--nodes", type=int, default=256)
@@ -153,8 +153,7 @@ def _cmd_geodesic(args) -> int:
         h0 = init_linear(source, target, cfg.N)
     try:
         report = continuation(h0, target, cfg.metric, cfg.kernel,
-                              cfg.optimizer,
-                              paper_literal=cfg.paper_literal_velocity)
+                              cfg.optimizer)
     except LineSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPTIM
@@ -179,13 +178,11 @@ def _cmd_energy(args) -> int:
         target = _load_endpoint(cfg.target, cfg, "target")
         if target.n != h.n:
             target = constant_speed_resample(target, h.n)
-        total, energy, match = objective(
-            h, target, spec, cfg.kernel,
-            paper_literal=cfg.paper_literal_velocity)
+        total, energy, match = objective(h, target, spec, cfg.kernel)
         print(f"objective {total:.17g} energy {energy:.17g} "
               f"match {match:.17g}")
     else:
-        energy = path_energy(h, spec, cfg.paper_literal_velocity)
+        energy = path_energy(h, spec)
         print(f"energy {energy:.17g}")
     return EXIT_OK
 
@@ -193,8 +190,7 @@ def _cmd_energy(args) -> int:
 def _eval_spec(cfg: RunConfig) -> MetricSpec:
     eps = cfg.optimizer.eps_schedule[-1] if cfg.metric.eps == 0.0 \
         and cfg.metric.family == "bv2" else cfg.metric.eps
-    return MetricSpec(family=cfg.metric.family, weights=cfg.metric.weights,
-                      eps=eps, exponent=cfg.metric.exponent)
+    return replace(cfg.metric, eps=eps)
 
 
 def _cmd_check_grad(args) -> int:
@@ -207,17 +203,14 @@ def _cmd_check_grad(args) -> int:
     target = PolyCurve(base + 0.02 * rng.standard_normal((n, 2)))
     spec = _eval_spec(cfg)
     if spec.family == "bv2" and spec.eps == 0.0:
-        spec = MetricSpec(family=spec.family, weights=spec.weights,
-                          eps=1e-2, exponent=spec.exponent)
+        spec = replace(spec, eps=1e-2)
     err = fd_check(Homotopy(grid), target, spec, cfg.kernel,
-                   num_coords=50, seed=cfg.optimizer.seed,
-                   paper_literal=cfg.paper_literal_velocity)
+                   num_coords=50, seed=cfg.optimizer.seed)
     print(f"max relative error {err:.3e}")
     return EXIT_OK if err <= 1e-5 else EXIT_INPUT
 
 
 def _cmd_resample(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
     curve = load_curve(args.source)
     out = constant_speed_resample(curve, args.nodes)
     save_curve(out, args.out)

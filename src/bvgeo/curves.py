@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# immersion threshold on segment speeds, relative to the curve's length
+MIN_SPEED_REL = 1e-8
+
 
 class CurveError(ValueError):
     """Invalid curve data (bad shape, too few nodes, non-finite entries)."""
@@ -130,10 +133,10 @@ def validate_immersion(curve: PolyCurve, min_speed: float | None = None):
 
     Returns (ok, offending_index); offending_index is None when ok, else the
     first segment whose speed n*|chord| is <= min_speed.  The default
-    threshold is 1e-8 * length(curve).
+    threshold is MIN_SPEED_REL * length(curve).
     """
     if min_speed is None:
-        min_speed = 1e-8 * length(curve)
+        min_speed = MIN_SPEED_REL * length(curve)
     speeds = curve.speeds
     bad = np.nonzero(speeds <= min_speed)[0]
     if bad.size:

@@ -91,10 +91,16 @@ def load_homotopy(path) -> Homotopy:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: "
                          f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     for key in ("N", "n", "slices"):
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
-    arr = np.asarray(doc["slices"], dtype=float)
+    try:
+        arr = np.asarray(doc["slices"], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: slices must be an N x n x 2 array "
+                         f"of numbers") from None
     if arr.ndim != 3 or arr.shape[:2] != (doc["N"], doc["n"]):
         raise ParseError(f"{path}: slices shape {arr.shape} does not match "
                          f"N={doc['N']}, n={doc['n']}")
@@ -132,7 +138,6 @@ class RunConfig:
     source: str = ""
     target: str = ""
     out: str = "bvgeo_out"
-    paper_literal_velocity: bool = False
     normalize_to_unit_square: bool = True
 
     def __post_init__(self):
@@ -142,6 +147,10 @@ class RunConfig:
         if self.init not in ("constant", "linear"):
             raise ValueError(f"init must be 'constant' or 'linear', "
                              f"got {self.init!r}")
+
+    @property
+    def paper_literal_velocity(self) -> bool:
+        return self.metric.paper_literal_velocity
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -167,6 +176,14 @@ def _parse_floats(value: str, key: str, count: int | None = None):
     return items
 
 
+def _parse_ints(value: str, key: str, count: int):
+    items = _parse_floats(value, key, count)
+    if not all(x.is_integer() for x in items):
+        raise ParseError(f"config key {key!r}: expected integers, "
+                         f"got {value!r}")
+    return tuple(int(x) for x in items)
+
+
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse the flat key = value config document.
 
@@ -174,7 +191,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """
     cfg = base or RunConfig()
     metric = {"family": cfg.metric.family, "weights": cfg.metric.weights,
-              "eps": cfg.metric.eps, "exponent": cfg.metric.exponent}
+              "eps": cfg.metric.eps, "exponent": cfg.metric.exponent,
+              "paper_literal_velocity": cfg.metric.paper_literal_velocity}
     kern = {"sigma": cfg.kernel.sigma, "delta": cfg.kernel.delta}
     opt = {"max_iters": cfg.optimizer.max_iters, "tau0": cfg.optimizer.tau0,
            "shrink": cfg.optimizer.shrink, "armijo": cfg.optimizer.armijo,
@@ -183,7 +201,6 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
            "seed": cfg.optimizer.seed}
     plain = {"N": cfg.N, "n": cfg.n, "init": cfg.init, "source": cfg.source,
              "target": cfg.target, "out": cfg.out,
-             "paper_literal_velocity": cfg.paper_literal_velocity,
              "normalize_to_unit_square": cfg.normalize_to_unit_square}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -205,7 +222,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         elif key == "eps":
             metric["eps"] = _parse_floats(value, key, 1)[0]
         elif key == "exponent":
-            metric["exponent"] = int(_parse_floats(value, key, 1)[0])
+            metric["exponent"] = _parse_ints(value, key, 1)[0]
         elif key == "sigma":
             kern["sigma"] = _parse_floats(value, key, 1)[0]
         elif key == "delta":
@@ -213,17 +230,18 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         elif key == "kernel":
             kern["sigma"], kern["delta"] = _parse_floats(value, key, 2)
         elif key == "grid":
-            N, n = _parse_floats(value, key, 2)
-            plain["N"], plain["n"] = int(N), int(n)
+            plain["N"], plain["n"] = _parse_ints(value, key, 2)
         elif key in ("max_iters", "seed"):
-            opt[key] = int(_parse_floats(value, key, 1)[0])
+            opt[key] = _parse_ints(value, key, 1)[0]
         elif key in ("tau0", "shrink", "armijo", "grad_tol"):
             opt[key] = _parse_floats(value, key, 1)[0]
         elif key == "eps_schedule":
             opt["eps_schedule"] = _parse_floats(value, key)
         elif key in ("init", "source", "target", "out"):
             plain[key] = value
-        elif key in ("paper_literal_velocity", "normalize_to_unit_square"):
+        elif key == "paper_literal_velocity":
+            metric[key] = _parse_bool(value, key)
+        elif key == "normalize_to_unit_square":
             plain[key] = _parse_bool(value, key)
         else:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")

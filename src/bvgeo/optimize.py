@@ -13,14 +13,14 @@ rejection, which keeps all iterates inside the open set of immersed curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import PolyCurve, validate_immersion
+from .curves import PolyCurve
 from .matching import KernelParams, match_distance, match_gradient
-from .metrics import BV2, H2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
-from .paths import Homotopy
+from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
+from .paths import Homotopy, step_powers
 
 
 @dataclass(frozen=True)
@@ -79,47 +79,25 @@ class LineSearchError(RuntimeError):
     """Backtracking failed on the very first iteration (bad scaling)."""
 
 
-def _default_match(target: PolyCurve, params: KernelParams):
-    def value(curve: PolyCurve) -> float:
-        return match_distance(curve, target, params)
-
-    def grad(curve: PolyCurve) -> np.ndarray:
-        return match_gradient(curve, target, params)
-
-    return value, grad
-
-
-def _energy_terms(grid: np.ndarray, spec: MetricSpec, paper_literal: bool):
-    """Per-step norm values T_i, plus scale used for velocities."""
-    N = grid.shape[0]
-    scale = 1.0 / (N - 1) if paper_literal else float(N - 1)
-    vels = (grid[1:] - grid[:-1]) * scale
-    return vels, scale
-
-
-def _term_value(nodes, vel, spec: MetricSpec):
-    if spec.family == BV2:
-        v, _, _ = bv2_norm_and_partials(nodes, vel, spec.weights, spec.eps)
-        return v ** spec.exponent
-    q, _, _ = h2_sq_and_partials(nodes, vel, spec.weights, spec.eps)
-    return q if spec.exponent == 2 else float(np.sqrt(q))
+def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
+    # looked up here at call time: perfbench/tracing.py wraps these names
+    return step_powers(h.grid, spec, grad,
+                       (bv2_norm_and_partials, h2_sq_and_partials))
 
 
 def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-              params: KernelParams, paper_literal: bool = False,
-              match_term=None):
+              params: KernelParams, match_term=None):
     """Total objective with its two parts: (total, energy_part, match_part)."""
-    match_value = match_term[0] if match_term else _default_match(target, params)[0]
-    vels, _ = _energy_terms(h.grid, spec, paper_literal)
-    terms = [_term_value(h.grid[i], vels[i], spec) for i in range(h.N - 1)]
-    energy = float(np.sum(terms)) / (h.N - 1)
-    match = float(match_value(h.slice_curve(h.N - 1)))
+    powers, _ = _step_powers(h, spec, grad=False)
+    energy = float(np.sum(powers)) / (h.N - 1)
+    last = h.slice_curve(h.N - 1)
+    match = float(match_term[0](last) if match_term
+                  else match_distance(last, target, params))
     return energy + match, energy, match
 
 
 def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-             params: KernelParams, paper_literal: bool = False,
-             match_term=None) -> np.ndarray:
+             params: KernelParams, match_term=None) -> np.ndarray:
     """Exact objective gradient, (N, n, 2); the pinned slice-0 block is zero.
 
     For the BV2 family the objective is nonsmooth at eps = 0, so the
@@ -128,59 +106,31 @@ def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     if spec.family == BV2 and spec.eps == 0.0:
         raise ValueError("BV2 gradient requires eps > 0 (objective is "
                          "nonsmooth at eps = 0)")
-    match_grad = match_term[1] if match_term else _default_match(target, params)[1]
-    grid = h.grid
-    N = h.N
-    vels, scale = _energy_terms(grid, spec, paper_literal)
-    grad = np.zeros_like(grid)
-    p = spec.exponent
-    for i in range(N - 1):
-        nodes = grid[i]
-        vel = vels[i]
-        if spec.family == BV2:
-            val, dn, dv = bv2_norm_and_partials(nodes, vel, spec.weights, spec.eps)
-            coef = 1.0 if p == 1 else 2.0 * val
-        else:
-            val, dn, dv = h2_sq_and_partials(nodes, vel, spec.weights, spec.eps)
-            coef = 1.0 if p == 2 else 0.5 / np.sqrt(val)
-        dn = coef * dn
-        dv = coef * dv
-        grad[i] += dn
-        grad[i] -= scale * dv
-        grad[i + 1] += scale * dv
-    grad /= (N - 1)
-    grad[N - 1] += match_grad(h.slice_curve(N - 1))
+    _, grad = _step_powers(h, spec, grad=True)
+    grad /= (h.N - 1)
+    last = h.slice_curve(h.N - 1)
+    grad[-1] += match_term[1](last) if match_term \
+        else match_gradient(last, target, params)
     grad[0] = 0.0
     return grad
 
 
 def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
             params: KernelParams, cfg: OptimConfig,
-            paper_literal: bool = False, match_term=None) -> OptimReport:
+            match_term=None) -> OptimReport:
     """Armijo-backtracking gradient descent at the spec's fixed eps."""
     report = OptimReport(homotopy=h0)
-    grid = h0.grid.copy()
     h = h0
 
-    f, e_part, m_part = objective(h, target, spec, params, paper_literal,
-                                  match_term)
-    g = gradient(h, target, spec, params, paper_literal, match_term)
+    f, e_part, m_part = objective(h, target, spec, params, match_term)
+    g = gradient(h, target, spec, params, match_term)
     gnorm = float(np.max(np.abs(g)))
     tol = cfg.grad_tol * max(gnorm, 1e-300)
     tau = cfg.tau0 / (1.0 + gnorm)
-
-    report.objective_trace.append(f)
-    report.energy_trace.append(e_part)
-    report.match_trace.append(m_part)
-    report.grad_norm_trace.append(gnorm)
-    report.eps_trace.append(spec.eps)
-    report.step_trace.append(0.0)
-
-    if cfg.max_iters == 0:
-        report.homotopy = h
-        report.termination = "max_iters"
-        report.iters_per_stage.append(0)
-        return report
+    traces = (report.objective_trace, report.energy_trace, report.match_trace,
+              report.grad_norm_trace, report.eps_trace, report.step_trace)
+    for trace, x in zip(traces, (f, e_part, m_part, gnorm, spec.eps, 0.0)):
+        trace.append(x)
 
     min_tau = 1e-20 * tau
     for it in range(cfg.max_iters):
@@ -191,12 +141,12 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         accepted = False
         t = tau
         while t > min_tau:
-            cand = Homotopy(grid - t * g)
+            cand = Homotopy(h.grid - t * g)
             if cand.validate_slices() is not None:
                 t *= cfg.shrink
                 continue
             f_new, e_new, m_new = objective(cand, target, spec, params,
-                                            paper_literal, match_term)
+                                            match_term)
             if f_new <= f - cfg.armijo * t * gsq:
                 accepted = True
                 break
@@ -207,20 +157,14 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                     "line search failed at iteration 0; check problem scaling")
             report.termination = "line_search_failure"
             break
-        grid = grid - t * g
         h = cand
         f, e_part, m_part = f_new, e_new, m_new
-        g = gradient(h, target, spec, params, paper_literal, match_term)
+        g = gradient(h, target, spec, params, match_term)
         gnorm = float(np.max(np.abs(g)))
         # gentle step growth so backtracking stays cheap
         tau = t / cfg.shrink
-
-        report.objective_trace.append(f)
-        report.energy_trace.append(e_part)
-        report.match_trace.append(m_part)
-        report.grad_norm_trace.append(gnorm)
-        report.eps_trace.append(spec.eps)
-        report.step_trace.append(t)
+        for trace, x in zip(traces, (f, e_part, m_part, gnorm, spec.eps, t)):
+            trace.append(x)
     else:
         report.termination = "max_iters"
 
@@ -231,7 +175,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
 
 def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                  params: KernelParams, cfg: OptimConfig,
-                 paper_literal: bool = False, match_term=None) -> OptimReport:
+                 match_term=None) -> OptimReport:
     """Run descend per eps in the schedule, warm-starting each stage.
 
     Each stage's final objective is recorded both at the stage's own eps and
@@ -243,15 +187,11 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     merged = OptimReport(homotopy=h0)
     h = h0
     for eps in cfg.eps_schedule:
-        stage_spec = MetricSpec(family=spec.family, weights=spec.weights,
-                                eps=eps, exponent=spec.exponent)
-        rep = descend(h, target, stage_spec, params, cfg,
-                      paper_literal, match_term)
+        rep = descend(h, target, replace(spec, eps=eps), params, cfg,
+                      match_term)
         h = rep.homotopy
-        final_spec = MetricSpec(family=spec.family, weights=spec.weights,
-                                eps=eps_min, exponent=spec.exponent)
-        at_min, _, _ = objective(h, target, final_spec, params,
-                                 paper_literal, match_term)
+        at_min, _, _ = objective(h, target, replace(spec, eps=eps_min),
+                                 params, match_term)
         merged.objective_trace += rep.objective_trace
         merged.energy_trace += rep.energy_trace
         merged.match_trace += rep.match_trace
@@ -269,7 +209,7 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
 
 def fd_check(h: Homotopy, target: PolyCurve, spec: MetricSpec,
              params: KernelParams, num_coords: int = 50, seed: int = 0,
-             paper_literal: bool = False, match_term=None) -> float:
+             match_term=None) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
     Samples num_coords random free coordinates (slices 1..N-1); the step is
@@ -277,7 +217,7 @@ def fd_check(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     independent oracle for every gradient formula in this module.
     """
     rng = np.random.default_rng(seed)
-    g = gradient(h, target, spec, params, paper_literal, match_term)
+    g = gradient(h, target, spec, params, match_term)
     base = h.grid
     worst = 0.0
     gscale = max(float(np.max(np.abs(g))), 1e-12)
@@ -289,10 +229,10 @@ def fd_check(h: Homotopy, target: PolyCurve, spec: MetricSpec,
         bumped = base.copy()
         bumped[i, j, k] += step
         f_plus, _, _ = objective(Homotopy(bumped), target, spec, params,
-                                 paper_literal, match_term)
+                                 match_term)
         bumped[i, j, k] -= 2 * step
         f_minus, _, _ = objective(Homotopy(bumped), target, spec, params,
-                                  paper_literal, match_term)
+                                  match_term)
         fd = (f_plus - f_minus) / (2 * step)
         err = abs(fd - g[i, j, k]) / max(abs(g[i, j, k]), gscale * 1e-3)
         worst = max(worst, err)

@@ -5,21 +5,23 @@ closed piecewise-affine curve with n nodes.  Time uses N slices and N-1
 steps spanning [0, 1]; the velocity of step i is the difference quotient
 (slice[i+1] - slice[i]) / dt with dt = 1/(N-1).
 
-The ``paper_literal_velocity`` flag divides by (N-1) instead of multiplying,
-reproducing a formula variant whose energy scale depends on the time grid;
-the difference-quotient convention is the default because it makes the
-discrete energy a consistent quadrature of the continuous one (the
+The spec's ``paper_literal_velocity`` flag divides by (N-1) instead of
+multiplying, reproducing a formula variant whose energy scale depends on the
+time grid; the difference-quotient convention is the default because it
+makes the discrete energy a consistent quadrature of the continuous one (the
 translation path then has its analytic energy value, independent of N).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import PolyCurve, TangentField, length, validate_immersion
-from .metrics import BV2, H2, MetricSpec, bv2_tangent_norm, h2_tangent_norm_sq
+from .curves import MIN_SPEED_REL, PolyCurve, TangentField, length
+from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
+# unused here; perfbench/tracing.py wraps these two names on this module
+from .metrics import bv2_tangent_norm, h2_tangent_norm_sq  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,15 @@ class Homotopy:
         return PolyCurve(self.grid[i])
 
     def validate_slices(self, min_speed: float | None = None):
-        """First (slice, segment) failing the immersion test, or None."""
-        for i in range(self.N):
-            ok, idx = validate_immersion(self.slice_curve(i), min_speed)
-            if not ok:
-                return i, idx
+        """First (slice, segment) failing ``validate_immersion``, or None."""
+        chord_lengths = np.linalg.norm(
+            np.roll(self.grid, -1, axis=1) - self.grid, axis=2)
+        if min_speed is None:
+            min_speed = MIN_SPEED_REL * np.sum(chord_lengths, axis=1,
+                                               keepdims=True)
+        bad = np.flatnonzero(self.n * chord_lengths <= min_speed)
+        if bad.size:
+            return divmod(int(bad[0]), self.n)
         return None
 
 
@@ -83,34 +89,62 @@ class PathDiagnostics:
         return not bool(np.any(self.violations))
 
 
+def _velocity_scale(N: int, paper_literal: bool) -> float:
+    """Factor turning slice differences into step velocities."""
+    return 1.0 / (N - 1) if paper_literal else float(N - 1)
+
+
 def velocity(h: Homotopy, i: int, paper_literal: bool = False) -> TangentField:
     """Velocity field of time step i (0-based, 0 <= i <= N-2)."""
     if not 0 <= i <= h.N - 2:
         raise IndexError(f"step index {i} out of range [0, {h.N - 2}]")
     diff = h.grid[i + 1] - h.grid[i]
-    scale = 1.0 / (h.N - 1) if paper_literal else float(h.N - 1)
-    return TangentField(diff * scale)
+    return TangentField(diff * _velocity_scale(h.N, paper_literal))
 
 
-def step_norms(h: Homotopy, spec: MetricSpec,
-               paper_literal: bool = False) -> np.ndarray:
-    """Tangent norm of each step's velocity, measured at the step's slice."""
-    out = np.empty(h.N - 1)
-    for i in range(h.N - 1):
-        curve = h.slice_curve(i)
-        v = velocity(h, i, paper_literal)
-        if spec.family == BV2:
-            out[i] = bv2_tangent_norm(curve, v, spec)
+def step_powers(grid: np.ndarray, spec: MetricSpec, grad: bool = False,
+                kernels=(bv2_norm_and_partials, h2_sq_and_partials)):
+    """T_i^p of every step i, and with grad the (N, n, 2) gradient of their
+    sum (else None); T_i is the spec's norm of step i's velocity at slice i.
+
+    The H2 norm takes its subgradient 0 at zero velocity.  kernels is the
+    (BV2, H2) pair of batched kernels from ``metrics``.
+    """
+    scale = _velocity_scale(grid.shape[0], spec.paper_literal_velocity)
+    vels = (grid[1:] - grid[:-1]) * scale
+    bv2, h2 = kernels
+    if spec.family == BV2:
+        norm, dn, dv = bv2(grid[:-1], vels, spec.weights, spec.eps, grad)
+        power, coef = (norm, 1.0) if spec.exponent == 1 \
+            else (norm ** 2, 2.0 * norm)
+    else:
+        sq, dn, dv = h2(grid[:-1], vels, spec.weights, spec.eps, grad)
+        if spec.exponent == 2:
+            power, coef = sq, 1.0
         else:
-            out[i] = np.sqrt(h2_tangent_norm_sq(curve, v, spec))
-    return out
+            power = np.sqrt(sq)
+            coef = np.divide(0.5, power, out=np.zeros_like(power),
+                             where=power > 0.0)
+    if not grad:
+        return power, None
+    coef = np.asarray(coef)[..., None, None]
+    dv = scale * (coef * dv)
+    # step i adds +dv to slice i+1, then +dn and -dv to slice i
+    g = np.zeros_like(grid)
+    g[1:] = dv
+    g[:-1] += coef * dn
+    g[:-1] -= dv
+    return power, g
 
 
-def path_energy(h: Homotopy, spec: MetricSpec,
-                paper_literal: bool = False) -> float:
+def step_norms(h: Homotopy, spec: MetricSpec) -> np.ndarray:
+    """Tangent norm of each step's velocity, measured at the step's slice."""
+    return step_powers(h.grid, replace(spec, exponent=1))[0]
+
+
+def path_energy(h: Homotopy, spec: MetricSpec) -> float:
     """Discrete path energy: mean over steps of the tangent norm^p."""
-    T = step_norms(h, spec, paper_literal)
-    return float(np.mean(T ** spec.exponent))
+    return float(np.mean(step_powers(h.grid, spec)[0]))
 
 
 def make_translation_path(curve: PolyCurve, c, N: int) -> Homotopy:
@@ -192,9 +226,7 @@ def length_bound_check(h: Homotopy, spec: MetricSpec) -> PathDiagnostics:
     and for w2 < 1, no constant is settled here.  The estimate is a
     sufficient condition, so this is a diagnostic, not an error.
     """
-    sq = MetricSpec(family=spec.family, weights=spec.weights,
-                    eps=spec.eps, exponent=2)
-    T = step_norms(h, sq)
+    T = step_norms(h, spec)
     energy = float(np.mean(T ** 2))
     ell = float(np.mean(T))
     lengths = np.array([length(h.slice_curve(i)) for i in range(h.N)])

@@ -94,6 +94,17 @@ class TestHomotopyFiles:
         with pytest.raises(ParseError, match="'n'"):
             load_homotopy(p)
 
+    @pytest.mark.parametrize("text", [
+        "5",
+        '"Nn slices"',
+        '{"N": 2, "n": 3, "slices": [[[0, 0], [1, 0], [0, 1]], [[0, 0]]]}',
+    ], ids=["number", "string", "ragged"])
+    def test_energy_malformed_homotopy_exits_1(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.homotopy.json"
+        p.write_text(text)
+        assert main(["energy", str(p)]) == 1
+        assert str(p) in capsys.readouterr().err
+
 
 class TestConfig:
     def test_defaults(self):
@@ -138,6 +149,12 @@ class TestConfig:
             parse_config("family = sobolev")
         with pytest.raises(ParseError):
             parse_config("no equals sign here")
+        # integers are never truncated
+        for text in ("exponent = 1.5", "grid = 10.7 256.9", "max_iters = 2.5",
+                     "seed = 0.5", "seed = inf"):
+            with pytest.raises(ParseError, match="integers"):
+                parse_config(text)
+        assert parse_config("grid = 6.0 32").n == 32
 
     def test_invalid_combination_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -191,6 +208,16 @@ class TestCli:
         assert rc == 0
         h = load_homotopy(tmp_path / "run0.homotopy.json")
         assert np.array_equal(h.grid[0], h.grid[-1])  # constant init untouched
+
+    def test_geodesic_h2_norm_from_constant_init(self, rng, tmp_path, capsys):
+        # H2 with p = 1 has zero velocity everywhere at the constant init
+        src, tgt = self.pair(rng, tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = h2\nexponent = 1\nmax_iters = 3\n"
+                       "grid = 3 24\neps_schedule = 1e-2\n")
+        rc = main(["geodesic", "--config", str(cfg), "--source", src,
+                   "--target", tgt, "--out", str(tmp_path / "run")])
+        assert rc == 0
 
     def test_check_grad_exit_zero(self, capsys):
         rc = main(["check-grad"])
