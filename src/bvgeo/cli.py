@@ -16,12 +16,14 @@ import numpy as np
 
 from .curves import (CurveError, PolyCurve, constant_speed_resample,
                      normalize_to_unit_square, signed_area, validate_immersion)
-from .io import (ParseError, RunConfig, load_config, load_curve,
-                 load_homotopy, save_curve, save_homotopy)
+from .io import (CONFIG_KEYS, ParseError, RunConfig, apply_settings,
+                 load_config, load_curve, load_homotopy, save_curve,
+                 save_homotopy)
 from .matching import match_distance
 from .metrics import MetricSpec
-from .optimize import (LineSearchError, align_start_node, continuation,
-                       fd_check, init_constant, init_linear, objective)
+from .optimize import (TRACE_COLUMNS, LineSearchError, align_start_node,
+                       continuation, fd_check, init_constant, init_linear,
+                       objective)
 from .paths import Homotopy, make_translation_path, path_energy
 from .svg import render_svg
 
@@ -43,13 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_target:
             p.add_argument("--target", help="target curve file (JSON or CSV)")
         p.add_argument("--out", help="output path prefix")
-        p.add_argument("--metric", choices=["bv2", "h2"])
+        p.add_argument("--metric", dest="family", choices=["bv2", "h2"])
         p.add_argument("--eps-schedule", help="comma-separated eps values")
         p.add_argument("--grid", help="N,n")
         p.add_argument("--weights", help="w0,w1,w2")
         p.add_argument("--kernel", help="sigma,delta")
         p.add_argument("--init", choices=["constant", "linear"])
-        p.add_argument("--paper-literal-velocity", action="store_true")
+        p.add_argument("--paper-literal-velocity", action="store_const",
+                       const="true")
 
     p = sub.add_parser("geodesic", help="optimize a homotopy between two curves")
     add_common(p)
@@ -79,31 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = []
-    if getattr(args, "metric", None):
-        overrides.append(f"family = {args.metric}")
-    if getattr(args, "eps_schedule", None):
-        overrides.append(f"eps_schedule = {args.eps_schedule}")
-    if getattr(args, "grid", None):
-        overrides.append(f"grid = {args.grid}")
-    if getattr(args, "weights", None):
-        overrides.append(f"weights = {args.weights}")
-    if getattr(args, "kernel", None):
-        overrides.append(f"kernel = {args.kernel}")
-    if getattr(args, "init", None):
-        overrides.append(f"init = {args.init}")
-    if getattr(args, "source", None):
-        overrides.append(f"source = {args.source}")
-    if getattr(args, "target", None):
-        overrides.append(f"target = {args.target}")
-    if getattr(args, "out", None):
-        overrides.append(f"out = {args.out}")
-    if getattr(args, "paper_literal_velocity", False):
-        overrides.append("paper_literal_velocity = true")
-    if overrides:
-        from .io import parse_config
-        cfg = parse_config("\n".join(overrides), cfg)
-    return cfg
+    return apply_settings([(key, value) for key, value in vars(args).items()
+                           if key in CONFIG_KEYS and value is not None], cfg)
 
 
 def _load_endpoint(path: str, cfg: RunConfig, what: str) -> PolyCurve:
@@ -133,15 +113,8 @@ def _prepare_pair(cfg: RunConfig):
 def _write_trace(report, path: Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "eps", "objective", "energy_part",
-                        "match_part", "grad_norm", "step"])
-        for i in range(len(report.objective_trace)):
-            writer.writerow([i, report.eps_trace[i],
-                             report.objective_trace[i],
-                             report.energy_trace[i],
-                             report.match_trace[i],
-                             report.grad_norm_trace[i],
-                             report.step_trace[i]])
+        writer.writerow(("iter",) + TRACE_COLUMNS)
+        writer.writerows((i,) + row for i, row in enumerate(report.rows))
 
 
 def _cmd_geodesic(args) -> int:
@@ -162,8 +135,8 @@ def _cmd_geodesic(args) -> int:
     _write_trace(report, prefix.with_suffix(".trace.csv"))
     prefix.with_suffix(".svg").write_text(
         render_svg(report.homotopy, target=target))
-    final = report.objective_trace[-1]
-    print(f"objective {final:.6g}  match {report.match_trace[-1]:.6g}  "
+    last = report.rows[-1]
+    print(f"objective {last.objective:.6g}  match {last.match_part:.6g}  "
           f"termination {report.termination}")
     if report.termination == "line_search_failure":
         return EXIT_OPTIM

@@ -128,20 +128,28 @@ def check_sizes(curve: PolyCurve, field: TangentField) -> None:
             f"field size {field.n} does not match curve size {curve.n}")
 
 
+def first_slow_segment(grid: np.ndarray, min_speed=None):
+    """Discrete immersion test of S stacked curves, grid of shape (S, n, 2).
+
+    Returns the first (curve, segment) whose speed n*|chord| is <= min_speed,
+    or None.  The default threshold is MIN_SPEED_REL * length of that curve.
+    """
+    chord_lengths = np.linalg.norm(np.roll(grid, -1, axis=1) - grid, axis=2)
+    if min_speed is None:
+        min_speed = MIN_SPEED_REL * np.sum(chord_lengths, axis=1,
+                                           keepdims=True)
+    bad = np.flatnonzero(grid.shape[1] * chord_lengths <= min_speed)
+    return divmod(int(bad[0]), grid.shape[1]) if bad.size else None
+
+
 def validate_immersion(curve: PolyCurve, min_speed: float | None = None):
-    """Discrete immersion test: min segment speed must exceed min_speed.
+    """Discrete immersion test of one curve (see ``first_slow_segment``).
 
     Returns (ok, offending_index); offending_index is None when ok, else the
-    first segment whose speed n*|chord| is <= min_speed.  The default
-    threshold is MIN_SPEED_REL * length(curve).
+    first segment whose speed n*|chord| is <= min_speed.
     """
-    if min_speed is None:
-        min_speed = MIN_SPEED_REL * length(curve)
-    speeds = curve.speeds
-    bad = np.nonzero(speeds <= min_speed)[0]
-    if bad.size:
-        return False, int(bad[0])
-    return True, None
+    bad = first_slow_segment(curve.nodes[None], min_speed)
+    return (True, None) if bad is None else (False, bad[1])
 
 
 def length(curve: PolyCurve) -> float:

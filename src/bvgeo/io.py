@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .curves import CurveError, PolyCurve
 from .matching import KernelParams
-from .metrics import BV2, H2, MetricSpec
+from .metrics import MetricSpec
 from .optimize import OptimConfig
 from .paths import Homotopy
 
@@ -157,31 +158,70 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     try:
-        return _BOOL[value.strip().lower()]
+        return _BOOL[text.lower()]
     except KeyError:
-        raise ParseError(f"config key {key!r}: expected a boolean, "
-                         f"got {value!r}") from None
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-def _parse_floats(value: str, key: str, count: int | None = None):
+def _numbers(count: int | None = None, integer: bool = False):
+    """Parser of a comma- or space-separated list of finite numbers (or of
+    integers); with count 1 it returns the bare value, else a tuple."""
+    def parse(text: str):
+        items = tuple(float(x) for x in text.replace(",", " ").split())
+        if count is not None and len(items) != count:
+            raise ValueError(f"expected {count} values, got {len(items)}")
+        if integer:
+            if not all(map(float.is_integer, items)):
+                raise ValueError(f"expected integers, got {text!r}")
+            items = tuple(map(int, items))
+        elif not all(map(math.isfinite, items)):
+            raise ValueError(f"expected finite numbers, got {text!r}")
+        return items[0] if count == 1 else items
+    return parse
+
+
+_float, _int = _numbers(1), _numbers(1, integer=True)
+
+# Every config key with the parser of its value text.  A key sets the
+# RunConfig field of its own name, or the two fields in _PAIRS.
+CONFIG_KEYS = {
+    "family": str, "init": str, "source": str, "target": str, "out": str,
+    "paper_literal_velocity": _parse_bool,
+    "normalize_to_unit_square": _parse_bool,
+    "weights": _numbers(3), "kernel": _numbers(2), "eps_schedule": _numbers(),
+    "grid": _numbers(2, integer=True),
+    "exponent": _int, "max_iters": _int, "seed": _int,
+    "eps": _float, "sigma": _float, "delta": _float, "tau0": _float,
+    "shrink": _float, "armijo": _float, "grad_tol": _float,
+}
+_PAIRS = {"kernel": ("sigma", "delta"), "grid": ("N", "n")}
+_SECTIONS = {"metric": MetricSpec, "kernel": KernelParams,
+             "optimizer": OptimConfig}
+
+
+def apply_settings(settings, base: RunConfig | None = None) -> RunConfig:
+    """base with each (config key, value text) pair applied in order, each
+    value parsed as on its config line.  No two of RunConfig and its
+    sections share a field name, so one flat dict holds them all."""
+    values = dict(vars(base or RunConfig()))
+    for name in _SECTIONS:
+        values.update(vars(values.pop(name)))
+    for key, text in settings:
+        try:
+            parsed = CONFIG_KEYS[key](text.strip())
+        except ValueError as exc:
+            raise ParseError(f"config key {key!r}: {exc}") from exc
+        values.update(zip(_PAIRS[key], parsed) if key in _PAIRS
+                      else [(key, parsed)])
     try:
-        items = tuple(float(x) for x in value.replace(",", " ").split())
+        sections = {name: cls(**{f.name: values.pop(f.name)
+                                 for f in fields(cls)})
+                    for name, cls in _SECTIONS.items()}
+        return RunConfig(**sections, **values)
     except ValueError as exc:
-        raise ParseError(f"config key {key!r}: {exc}") from exc
-    if count is not None and len(items) != count:
-        raise ParseError(f"config key {key!r}: expected {count} values, "
-                         f"got {len(items)}")
-    return items
-
-
-def _parse_ints(value: str, key: str, count: int):
-    items = _parse_floats(value, key, count)
-    if not all(x.is_integer() for x in items):
-        raise ParseError(f"config key {key!r}: expected integers, "
-                         f"got {value!r}")
-    return tuple(int(x) for x in items)
+        raise ParseError(str(exc)) from exc
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -189,20 +229,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
     Unknown keys are errors (fail-closed); '#' starts a comment.
     """
-    cfg = base or RunConfig()
-    metric = {"family": cfg.metric.family, "weights": cfg.metric.weights,
-              "eps": cfg.metric.eps, "exponent": cfg.metric.exponent,
-              "paper_literal_velocity": cfg.metric.paper_literal_velocity}
-    kern = {"sigma": cfg.kernel.sigma, "delta": cfg.kernel.delta}
-    opt = {"max_iters": cfg.optimizer.max_iters, "tau0": cfg.optimizer.tau0,
-           "shrink": cfg.optimizer.shrink, "armijo": cfg.optimizer.armijo,
-           "grad_tol": cfg.optimizer.grad_tol,
-           "eps_schedule": cfg.optimizer.eps_schedule,
-           "seed": cfg.optimizer.seed}
-    plain = {"N": cfg.N, "n": cfg.n, "init": cfg.init, "source": cfg.source,
-             "target": cfg.target, "out": cfg.out,
-             "normalize_to_unit_square": cfg.normalize_to_unit_square}
-
+    settings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,47 +238,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ParseError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key == "family":
-            if value not in (BV2, H2):
-                raise ParseError(f"config key 'family': expected 'bv2' or "
-                                 f"'h2', got {value!r}")
-            metric["family"] = value
-        elif key == "weights":
-            metric["weights"] = _parse_floats(value, key, 3)
-        elif key == "eps":
-            metric["eps"] = _parse_floats(value, key, 1)[0]
-        elif key == "exponent":
-            metric["exponent"] = _parse_ints(value, key, 1)[0]
-        elif key == "sigma":
-            kern["sigma"] = _parse_floats(value, key, 1)[0]
-        elif key == "delta":
-            kern["delta"] = _parse_floats(value, key, 1)[0]
-        elif key == "kernel":
-            kern["sigma"], kern["delta"] = _parse_floats(value, key, 2)
-        elif key == "grid":
-            plain["N"], plain["n"] = _parse_ints(value, key, 2)
-        elif key in ("max_iters", "seed"):
-            opt[key] = _parse_ints(value, key, 1)[0]
-        elif key in ("tau0", "shrink", "armijo", "grad_tol"):
-            opt[key] = _parse_floats(value, key, 1)[0]
-        elif key == "eps_schedule":
-            opt["eps_schedule"] = _parse_floats(value, key)
-        elif key in ("init", "source", "target", "out"):
-            plain[key] = value
-        elif key == "paper_literal_velocity":
-            metric[key] = _parse_bool(value, key)
-        elif key == "normalize_to_unit_square":
-            plain[key] = _parse_bool(value, key)
-        else:
+        if key not in CONFIG_KEYS:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
-
-    try:
-        return RunConfig(metric=MetricSpec(**metric),
-                         kernel=KernelParams(**kern),
-                         optimizer=OptimConfig(**opt), **plain)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        settings.append((key, value))
+    return apply_settings(settings, base)
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -13,6 +13,7 @@ rejection, which keeps all iterates inside the open set of immersed curves.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,6 +53,8 @@ class OptimConfig:
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         sched = tuple(float(e) for e in self.eps_schedule)
+        if not sched:
+            raise ValueError("eps_schedule must be nonempty")
         if any(e < 0 for e in sched):
             raise ValueError("eps_schedule entries must be nonnegative")
         if any(b >= a for a, b in zip(sched, sched[1:])):
@@ -59,20 +62,34 @@ class OptimConfig:
         object.__setattr__(self, "eps_schedule", sched)
 
 
+# one row per iterate: the stage's eps, the objective and its two parts,
+# the gradient sup-norm, and the accepted step (0 at a stage's start)
+TRACE_COLUMNS = ("eps", "objective", "energy_part", "match_part",
+                 "grad_norm", "step")
+TraceRow = namedtuple("TraceRow", TRACE_COLUMNS)
+
+
 @dataclass
 class OptimReport:
-    """Optimization trace: final homotopy plus per-iteration diagnostics."""
+    """Optimization trace: final homotopy plus one TraceRow per iterate.
+
+    termination is "grad_tol", "max_iters", "stalled" (the accepted step
+    left the grid unchanged) or "line_search_failure".
+    """
 
     homotopy: Homotopy
-    objective_trace: list = field(default_factory=list)
-    energy_trace: list = field(default_factory=list)
-    match_trace: list = field(default_factory=list)
-    grad_norm_trace: list = field(default_factory=list)
-    step_trace: list = field(default_factory=list)
-    eps_trace: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
     iters_per_stage: list = field(default_factory=list)
     stage_objectives: list = field(default_factory=list)
     termination: str = ""
+
+    # read-only views of one column each
+    eps_trace = property(lambda self: [r.eps for r in self.rows])
+    objective_trace = property(lambda self: [r.objective for r in self.rows])
+    energy_trace = property(lambda self: [r.energy_part for r in self.rows])
+    match_trace = property(lambda self: [r.match_part for r in self.rows])
+    grad_norm_trace = property(lambda self: [r.grad_norm for r in self.rows])
+    step_trace = property(lambda self: [r.step for r in self.rows])
 
 
 class LineSearchError(RuntimeError):
@@ -127,10 +144,8 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     gnorm = float(np.max(np.abs(g)))
     tol = cfg.grad_tol * max(gnorm, 1e-300)
     tau = cfg.tau0 / (1.0 + gnorm)
-    traces = (report.objective_trace, report.energy_trace, report.match_trace,
-              report.grad_norm_trace, report.eps_trace, report.step_trace)
-    for trace, x in zip(traces, (f, e_part, m_part, gnorm, spec.eps, 0.0)):
-        trace.append(x)
+    report.rows.append(TraceRow(eps=spec.eps, objective=f, energy_part=e_part,
+                                match_part=m_part, grad_norm=gnorm, step=0.0))
 
     min_tau = 1e-20 * tau
     for it in range(cfg.max_iters):
@@ -157,19 +172,23 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                     "line search failed at iteration 0; check problem scaling")
             report.termination = "line_search_failure"
             break
+        if np.array_equal(cand.grid, h.grid):
+            report.termination = "stalled"
+            break
         h = cand
         f, e_part, m_part = f_new, e_new, m_new
         g = gradient(h, target, spec, params, match_term)
         gnorm = float(np.max(np.abs(g)))
         # gentle step growth so backtracking stays cheap
         tau = t / cfg.shrink
-        for trace, x in zip(traces, (f, e_part, m_part, gnorm, spec.eps, t)):
-            trace.append(x)
+        report.rows.append(TraceRow(eps=spec.eps, objective=f,
+                                    energy_part=e_part, match_part=m_part,
+                                    grad_norm=gnorm, step=t))
     else:
         report.termination = "max_iters"
 
     report.homotopy = h
-    report.iters_per_stage.append(len(report.objective_trace) - 1)
+    report.iters_per_stage.append(len(report.rows) - 1)
     return report
 
 
@@ -181,8 +200,6 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     Each stage's final objective is recorded both at the stage's own eps and
     re-evaluated at the schedule's smallest eps, so stages are comparable.
     """
-    if not cfg.eps_schedule:
-        raise ValueError("eps_schedule must be nonempty")
     eps_min = cfg.eps_schedule[-1]
     merged = OptimReport(homotopy=h0)
     h = h0
@@ -192,15 +209,10 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         h = rep.homotopy
         at_min, _, _ = objective(h, target, replace(spec, eps=eps_min),
                                  params, match_term)
-        merged.objective_trace += rep.objective_trace
-        merged.energy_trace += rep.energy_trace
-        merged.match_trace += rep.match_trace
-        merged.grad_norm_trace += rep.grad_norm_trace
-        merged.step_trace += rep.step_trace
-        merged.eps_trace += rep.eps_trace
+        merged.rows += rep.rows
         merged.iters_per_stage += rep.iters_per_stage
         merged.stage_objectives.append(
-            {"eps": eps, "objective": rep.objective_trace[-1],
+            {"eps": eps, "objective": rep.rows[-1].objective,
              "objective_at_min_eps": at_min})
         merged.termination = rep.termination
     merged.homotopy = h

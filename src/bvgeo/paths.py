@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import MIN_SPEED_REL, PolyCurve, TangentField, length
+from .curves import PolyCurve, TangentField, first_slow_segment, length
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 # unused here; perfbench/tracing.py wraps these two names on this module
 from .metrics import bv2_tangent_norm, h2_tangent_norm_sq  # noqa: F401
@@ -57,15 +57,7 @@ class Homotopy:
 
     def validate_slices(self, min_speed: float | None = None):
         """First (slice, segment) failing ``validate_immersion``, or None."""
-        chord_lengths = np.linalg.norm(
-            np.roll(self.grid, -1, axis=1) - self.grid, axis=2)
-        if min_speed is None:
-            min_speed = MIN_SPEED_REL * np.sum(chord_lengths, axis=1,
-                                               keepdims=True)
-        bad = np.flatnonzero(self.n * chord_lengths <= min_speed)
-        if bad.size:
-            return divmod(int(bad[0]), self.n)
-        return None
+        return first_slow_segment(self.grid, min_speed)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bvgeo import (Homotopy, ParseError, RunConfig, load_config, load_curve,
-                   load_homotopy, match_distance, parse_config, save_curve,
-                   save_homotopy)
-from bvgeo.cli import main
+from bvgeo import (Homotopy, KernelParams, MetricSpec, OptimConfig,
+                   ParseError, RunConfig, continuation, init_linear,
+                   load_config, load_curve, load_homotopy, match_distance,
+                   parse_config, save_curve, save_homotopy)
+from bvgeo.cli import _write_trace, main
+from bvgeo.io import CONFIG_KEYS
+from bvgeo.optimize import TRACE_COLUMNS
 from conftest import fourier_curve, smooth_homotopy
 
 
@@ -155,6 +160,30 @@ class TestConfig:
             with pytest.raises(ParseError, match="integers"):
                 parse_config(text)
         assert parse_config("grid = 6.0 32").n == 32
+        # non-finite values are refused where they are read
+        for text in ("eps = nan", "weights = nan 0 1", "sigma = inf",
+                     "tau0 = inf", "grad_tol = nan",
+                     "eps_schedule = 1e-1 nan"):
+            with pytest.raises(ParseError, match="finite"):
+                parse_config(text)
+        with pytest.raises(ParseError, match="nonempty"):
+            parse_config("eps_schedule =")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS) + ["N", "x"]),
+                           st.one_of(st.text(), st.from_regex(
+                               r"[-+0-9.,e ]{0,12}|nan|inf|true|bv2|h2|linear",
+                               fullmatch=True))),
+                 max_size=6).map(lambda kv: "\n".join(
+                     f"{k} = {v}" for k, v in kv))))
+    def test_any_text_gives_config_or_parse_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ParseError:
+            return
+        assert isinstance(cfg, RunConfig)
 
     def test_invalid_combination_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -197,6 +226,59 @@ class TestCli:
         trace = (tmp_path / "run.trace.csv").read_text().splitlines()
         assert trace[0].startswith("iter,eps,objective")
         assert "termination" in capsys.readouterr().out
+
+    def test_paths_with_hash(self, rng, tmp_path, capsys):
+        # a flag value is taken whole: '#' starts no comment there
+        src = write_curve_json(tmp_path / "a#1.json",
+                               fourier_curve(rng, 40).nodes)
+        tgt = write_curve_json(tmp_path / "b#2.json",
+                               fourier_curve(rng, 40).nodes)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max_iters = 3\n")
+        assert main(["match", "--source", src, "--target", tgt]) == 0
+        rc = main(["geodesic", "--config", str(cfg), "--source", src,
+                   "--target", tgt, "--out", str(tmp_path / "run#2"),
+                   "--grid", "3,24", "--eps-schedule", "1e-2"])
+        assert rc == 0
+        assert (tmp_path / "run#2.trace.csv").exists()
+        assert not (tmp_path / "run.trace.csv").exists()
+
+    def test_trace_csv_columns(self, rng, tmp_path):
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        rep = continuation(init_linear(src, tgt, 3), tgt, MetricSpec(),
+                           KernelParams(),
+                           OptimConfig(max_iters=4, eps_schedule=(1e-1, 1e-2)))
+        path = tmp_path / "run.trace.csv"
+        _write_trace(rep, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(("iter",) + TRACE_COLUMNS)
+        table = np.array([[float(x) for x in line.split(",")]
+                          for line in lines[1:]])
+        assert table[:, 0].tolist() == list(range(len(rep.rows)))
+        views = {"eps": rep.eps_trace, "objective": rep.objective_trace,
+                 "energy_part": rep.energy_trace,
+                 "match_part": rep.match_trace,
+                 "grad_norm": rep.grad_norm_trace, "step": rep.step_trace}
+        for j, name in enumerate(TRACE_COLUMNS, start=1):
+            assert table[:, j].tolist() == views[name]
+
+    def test_geodesic_stalled_exits_0(self, rng, tmp_path, capsys):
+        src, tgt = self.pair(rng, tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = h2\nexponent = 1\nmax_iters = 20\n"
+                       "grid = 5 24\neps_schedule = 1e-2\n")
+        rc = main(["geodesic", "--config", str(cfg), "--source", src,
+                   "--target", tgt, "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert "termination stalled" in capsys.readouterr().out
+
+    def test_energy_empty_eps_schedule_exits_1(self, rng, tmp_path, capsys):
+        hp = tmp_path / "h.json"
+        save_homotopy(Homotopy(smooth_homotopy(rng, 3, 12)), hp)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("eps_schedule =\n")
+        assert main(["energy", str(hp), "--config", str(cfg)]) == 1
+        assert "eps_schedule must be nonempty" in capsys.readouterr().err
 
     def test_geodesic_max_iters_zero_keeps_init(self, rng, tmp_path, capsys):
         src, tgt = self.pair(rng, tmp_path)

@@ -163,6 +163,19 @@ class TestDescend:
             descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
                     match_term=(value, grad))
 
+    def test_unchanged_grid_stalls(self, rng):
+        # H2 with p = 1 at the constant init: every accepted step is below
+        # the grid's rounding, so the first one already changes nothing
+        src = fourier_curve(rng, 24)
+        tgt = fourier_curve(rng, 24)
+        h0 = init_constant(src, 5)
+        spec = replace(H2_SPEC, exponent=1)
+        rep = descend(h0, tgt, spec, KP, OptimConfig(max_iters=20))
+        assert rep.termination == "stalled"
+        assert rep.iters_per_stage == [0]
+        assert len(rep.rows) == 1
+        assert np.array_equal(rep.homotopy.grid, h0.grid)
+
     def test_deterministic(self, rng):
         src = fourier_curve(rng, 16)
         tgt = fourier_curve(rng, 16)
