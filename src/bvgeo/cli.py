@@ -135,8 +135,8 @@ def _cmd_geodesic(args) -> int:
     _write_trace(report, prefix.with_suffix(".trace.csv"))
     prefix.with_suffix(".svg").write_text(
         render_svg(report.homotopy, target=target))
-    last = report.rows[-1]
-    print(f"objective {last.objective:.6g}  match {last.match_part:.6g}  "
+    final = report.objective_trace[-1]
+    print(f"objective {final:.6g}  match {report.match_trace[-1]:.6g}  "
           f"termination {report.termination}")
     if report.termination == "line_search_failure":
         return EXIT_OPTIM

@@ -13,7 +13,6 @@ rejection, which keeps all iterates inside the open set of immersed curves.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,34 +61,43 @@ class OptimConfig:
         object.__setattr__(self, "eps_schedule", sched)
 
 
-# one row per iterate: the stage's eps, the objective and its two parts,
-# the gradient sup-norm, and the accepted step (0 at a stage's start)
+# one value per iterate in each: the stage's eps, the objective and its two
+# parts, the gradient sup-norm, and the accepted step (0 at a stage's start)
 TRACE_COLUMNS = ("eps", "objective", "energy_part", "match_part",
                  "grad_norm", "step")
-TraceRow = namedtuple("TraceRow", TRACE_COLUMNS)
 
 
 @dataclass
 class OptimReport:
-    """Optimization trace: final homotopy plus one TraceRow per iterate.
+    """Optimization trace: final homotopy plus one stored list per column.
 
     termination is "grad_tol", "max_iters", "stalled" (the accepted step
     left the grid unchanged) or "line_search_failure".
     """
 
     homotopy: Homotopy
-    rows: list = field(default_factory=list)
+    columns: dict = field(
+        default_factory=lambda: {name: [] for name in TRACE_COLUMNS})
     iters_per_stage: list = field(default_factory=list)
     stage_objectives: list = field(default_factory=list)
     termination: str = ""
 
-    # read-only views of one column each
-    eps_trace = property(lambda self: [r.eps for r in self.rows])
-    objective_trace = property(lambda self: [r.objective for r in self.rows])
-    energy_trace = property(lambda self: [r.energy_part for r in self.rows])
-    match_trace = property(lambda self: [r.match_part for r in self.rows])
-    grad_norm_trace = property(lambda self: [r.grad_norm for r in self.rows])
-    step_trace = property(lambda self: [r.step for r in self.rows])
+    def extend(self, rows) -> None:
+        """Append rows given in TRACE_COLUMNS order."""
+        for name, values in zip(TRACE_COLUMNS, zip(*rows)):
+            self.columns[name] += values
+
+    # one tuple per iterate in TRACE_COLUMNS order, built on each access
+    rows = property(lambda self: list(
+        zip(*(self.columns[name] for name in TRACE_COLUMNS))))
+
+    # the stored lists themselves, so an item write persists
+    eps_trace = property(lambda self: self.columns["eps"])
+    objective_trace = property(lambda self: self.columns["objective"])
+    energy_trace = property(lambda self: self.columns["energy_part"])
+    match_trace = property(lambda self: self.columns["match_part"])
+    grad_norm_trace = property(lambda self: self.columns["grad_norm"])
+    step_trace = property(lambda self: self.columns["step"])
 
 
 class LineSearchError(RuntimeError):
@@ -144,8 +152,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     gnorm = float(np.max(np.abs(g)))
     tol = cfg.grad_tol * max(gnorm, 1e-300)
     tau = cfg.tau0 / (1.0 + gnorm)
-    report.rows.append(TraceRow(eps=spec.eps, objective=f, energy_part=e_part,
-                                match_part=m_part, grad_norm=gnorm, step=0.0))
+    report.extend([(spec.eps, f, e_part, m_part, gnorm, 0.0)])
 
     min_tau = 1e-20 * tau
     for it in range(cfg.max_iters):
@@ -181,14 +188,12 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         gnorm = float(np.max(np.abs(g)))
         # gentle step growth so backtracking stays cheap
         tau = t / cfg.shrink
-        report.rows.append(TraceRow(eps=spec.eps, objective=f,
-                                    energy_part=e_part, match_part=m_part,
-                                    grad_norm=gnorm, step=t))
+        report.extend([(spec.eps, f, e_part, m_part, gnorm, t)])
     else:
         report.termination = "max_iters"
 
     report.homotopy = h
-    report.iters_per_stage.append(len(report.rows) - 1)
+    report.iters_per_stage.append(len(report.objective_trace) - 1)
     return report
 
 
@@ -209,10 +214,10 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         h = rep.homotopy
         at_min, _, _ = objective(h, target, replace(spec, eps=eps_min),
                                  params, match_term)
-        merged.rows += rep.rows
+        merged.extend(rep.rows)
         merged.iters_per_stage += rep.iters_per_stage
         merged.stage_objectives.append(
-            {"eps": eps, "objective": rep.rows[-1].objective,
+            {"eps": eps, "objective": rep.objective_trace[-1],
              "objective_at_min_eps": at_min})
         merged.termination = rep.termination
     merged.homotopy = h

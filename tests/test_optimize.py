@@ -8,6 +8,7 @@ from bvgeo import (BV2, H2, Homotopy, KernelParams, LineSearchError,
                    continuation, descend, fd_check, gradient, init_constant,
                    init_linear, match_distance, objective, path_energy,
                    step_norms)
+from bvgeo.optimize import TRACE_COLUMNS
 from conftest import fourier_curve, smooth_homotopy
 
 KP = KernelParams()
@@ -211,6 +212,21 @@ class TestContinuation:
         last = rep.stage_objectives[-1]
         assert last["objective"] == pytest.approx(
             last["objective_at_min_eps"], rel=1e-12)
+
+    def test_trace_item_write_persists(self, rng):
+        # a column is stored once: writing into a *_trace list changes the
+        # report, and the merged rows follow the stages' rows
+        src = fourier_curve(rng, 16)
+        h0 = init_constant(src, 4)
+        cfg = OptimConfig(max_iters=3, eps_schedule=(1e-1, 1e-2))
+        rep = continuation(h0, fourier_curve(rng, 16), BV_SPEC, KP, cfg)
+        assert len(rep.rows) == sum(i + 1 for i in rep.iters_per_stage)
+        final = rep.objective_trace[-1]
+        rep.objective_trace[1] = -1.0
+        rep.objective_trace[-1] *= 2.0
+        col = TRACE_COLUMNS.index("objective")
+        assert rep.objective_trace[1] == rep.rows[1][col] == -1.0
+        assert rep.objective_trace[-1] == rep.rows[-1][col] == 2.0 * final
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
