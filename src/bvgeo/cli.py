@@ -138,7 +138,9 @@ def _cmd_geodesic(args) -> int:
     final = report.objective_trace[-1]
     print(f"objective {final:.6g}  match {report.match_trace[-1]:.6g}  "
           f"termination {report.termination}")
-    if report.termination == "line_search_failure":
+    if report.termination == "non_finite":
+        print("error: objective or gradient is not finite", file=sys.stderr)
+    if report.termination in ("line_search_failure", "non_finite"):
         return EXIT_OPTIM
     return EXIT_OK
 

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +34,32 @@ class ParseError(ValueError):
 def _validate_nodes(rows, where: str) -> PolyCurve:
     try:
         return PolyCurve(np.asarray(rows, dtype=float))
-    except (CurveError, ValueError) as exc:
+    except (CurveError, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8 text") \
+            from exc
+
+
+def _read_json(path: Path):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: "
+                         f"{exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def load_curve_json(path) -> PolyCurve:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: "
-                         f"{exc.msg}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ParseError(f"{path}: expected object with a 'nodes' key")
     return _validate_nodes(doc["nodes"], str(path))
@@ -52,17 +68,17 @@ def load_curve_json(path) -> PolyCurve:
 def load_curve_csv(path) -> PolyCurve:
     path = Path(path)
     rows = []
-    with path.open(newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected two "
-                                 f"columns, got {len(row)}")
-            try:
-                rows.append([float(row[0]), float(row[1])])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    lines = StringIO(_read_text(path), newline="")
+    for lineno, row in enumerate(csv.reader(lines), start=1):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(f"{path}: line {lineno}: expected two "
+                             f"columns, got {len(row)}")
+        try:
+            rows.append([float(row[0]), float(row[1])])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return _validate_nodes(rows, str(path))
 
 
@@ -87,11 +103,7 @@ def save_curve(curve: PolyCurve, path) -> None:
 
 def load_homotopy(path) -> Homotopy:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: "
-                         f"{exc.msg}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     for key in ("N", "n", "slices"):
@@ -99,7 +111,7 @@ def load_homotopy(path) -> Homotopy:
             raise ParseError(f"{path}: missing key {key!r}")
     try:
         arr = np.asarray(doc["slices"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: slices must be an N x n x 2 array "
                          f"of numbers") from None
     if arr.ndim != 3 or arr.shape[:2] != (doc["N"], doc["n"]):

@@ -9,7 +9,17 @@ the normal factor exact and only the kernel factor is approximated:
     H = sum_ij |n_i - m_j|^2 k(c_i, d_j) l_i l_j
 
 over segment midpoints c/d, unit normals n/m and chord lengths l.  The
-double sum is O(n^2) and dominates the optimizer's cost.
+double sum is evaluated exactly as matrix products: with |n - m|^2 =
+|n|^2 + |m|^2 - 2<n, m> (|n|^2 kept, not assumed 1),
+
+    H = sum_i l_i (|n_i|^2 (K B_0)_i + (K B_1)_i - 2 <n_i, (K B_23)_i>)
+
+for the (n, m) kernel matrix K_ij = k(c_i, d_j) and the (m, 4) target block
+B = [l, l|m|^2, l m].  The gradient multiplies K by B and K' (the kernel's
+radial derivative factor) by B and its products with the midpoints d; the
+currents inner product is sum_k (l n_k)^T K (l m_k).  What remains of the
+O(n m) cost is forming K (two exponentials per segment pair); the products
+are BLAS calls on thin blocks.
 
 Note that this discretization (like its continuous form) is positive even
 for two identical curves: non-corresponding segment pairs contribute.  Nor
@@ -58,14 +68,42 @@ def _segment_data(curve: PolyCurve):
     return mids, normals, curve.chord_lengths
 
 
+def _target_block(curve: PolyCurve):
+    """Midpoints d and the (m, 4) block B = [l, l|m|^2, l m] of a curve."""
+    mids, normals, lens = _segment_data(curve)
+    block = lens[:, None] * np.column_stack(
+        [np.ones_like(lens), np.sum(normals * normals, axis=1), normals])
+    return mids, block
+
+
+def _kernel_matrices(c, d, params: KernelParams, grad: bool = False):
+    """Segment-pair kernel K = e1 + e2 between midpoints c (n, 2) and d
+    (m, 2), from one r^2 array; with grad also K' = e1/s^2 + e2/d^2, so
+    that dK_ij/dc_i = -K'_ij (c_i - d_j)."""
+    r2 = np.subtract.outer(c[:, 0], d[:, 0]) ** 2
+    r2 += np.subtract.outer(c[:, 1], d[:, 1]) ** 2
+    e1 = np.exp(r2 / (-2.0 * params.sigma ** 2))
+    e2 = np.exp(r2 / (-2.0 * params.delta ** 2))
+    if not grad:
+        return e1 + e2
+    return e1 + e2, e1 / params.sigma ** 2 + e2 / params.delta ** 2
+
+
+def _mismatch(prod, normals):
+    """sum_j |n_i - m_j|^2 X_ij y_j for each 4-column group [y, y|m|^2, y m]
+    of B in prod = X @ B, by |n - m|^2 = |n|^2 + |m|^2 - 2<n, m>; (n, groups).
+    """
+    s = prod.reshape(len(normals), -1, 4)
+    return (np.sum(normals * normals, axis=1)[:, None] * s[..., 0]
+            + s[..., 1] - 2.0 * np.einsum("igk,ik->ig", s[..., 2:], normals))
+
+
 def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams) -> float:
     """Midpoint-rule discretization of the normal-mismatch kernel integral."""
     ca, na, la = _segment_data(a)
-    cb, nb, lb = _segment_data(b)
-    diff_n = na[:, None, :] - nb[None, :, :]
-    w = np.sum(diff_n * diff_n, axis=2)
-    k = kernel(ca[:, None, :], cb[None, :, :], params)
-    return float(np.sum(w * k * la[:, None] * lb[None, :]))
+    cb, block = _target_block(b)
+    prod = _kernel_matrices(ca, cb, params) @ block
+    return float(la @ _mismatch(prod, na)[:, 0])
 
 
 def match_gradient(a: PolyCurve, b: PolyCurve,
@@ -76,27 +114,24 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
     the normalized chord under the 90-degree rotation.
     """
     ca, na, la = _segment_data(a)
-    cb, nb, lb = _segment_data(b)
+    cb, block = _target_block(b)
     chords = a.chords
     tang = chords / la[:, None]
+    k, kprime = _kernel_matrices(ca, cb, params, grad=True)
 
-    diff_n = na[:, None, :] - nb[None, :, :]          # (n, m, 2)
-    w = np.sum(diff_n * diff_n, axis=2)               # (n, m)
-    diff_c = ca[:, None, :] - cb[None, :, :]          # (n, m, 2)
-    r2 = np.sum(diff_c * diff_c, axis=2)
-    e1 = np.exp(-r2 / (2.0 * params.sigma ** 2))
-    e2 = np.exp(-r2 / (2.0 * params.delta ** 2))
-    k = e1 + e2
-    wl = lb[None, :]                                  # b-side measure
-
+    prod = k @ block
     # dH/dl_i
-    alpha = np.sum(w * k * wl, axis=1)
-    # dH/dc_i (kernel factor), already including l_i
-    kprime = e1 / params.sigma ** 2 + e2 / params.delta ** 2
-    beta = -np.sum((w * kprime * wl)[:, :, None] * diff_c, axis=1) \
-        * la[:, None]
-    # dH/dn_i
-    g = 2.0 * np.sum((k * wl)[:, :, None] * diff_n, axis=1) * la[:, None]
+    alpha = _mismatch(prod, na)[:, 0]
+    # dH/dn_i = 2 l_i sum_j k_ij l_j (n_i - m_j)
+    g = 2.0 * la[:, None] * (prod[:, :1] * na - prod[:, 2:])
+    # dH/dc_i (kernel factor), already including l_i: the sums over j of
+    # w k' l_j and of w k' l_j d_j; midpoints taken about the target's
+    # centroid so the difference c_i A_i - V_i cancels little
+    origin = np.mean(cb, axis=0)
+    cb, ca = cb - origin, ca - origin
+    moments = np.hstack([block, block * cb[:, :1], block * cb[:, 1:]])
+    av = _mismatch(kprime @ moments, na)              # (n, 3): A, V
+    beta = -(av[:, :1] * ca - av[:, 1:]) * la[:, None]
 
     # map normal gradient through n_i = rot90(chord_i / l_i)
     rg = -rot90(g)                                    # rot90^T = -rot90
@@ -116,8 +151,7 @@ def currents_distance_sq(a: PolyCurve, b: PolyCurve,
     def inner(x, y):
         cx, nx, lx = _segment_data(x)
         cy, ny, ly = _segment_data(y)
-        dots = nx @ ny.T
-        k = kernel(cx[:, None, :], cy[None, :, :], params)
-        return float(np.sum(dots * k * lx[:, None] * ly[None, :]))
+        k = _kernel_matrices(cx, cy, params)
+        return float(np.sum((lx[:, None] * nx) * (k @ (ly[:, None] * ny))))
 
     return inner(a, a) - 2.0 * inner(a, b) + inner(b, b)

@@ -71,8 +71,9 @@ TRACE_COLUMNS = ("eps", "objective", "energy_part", "match_part",
 class OptimReport:
     """Optimization trace: final homotopy plus one stored list per column.
 
-    termination is "grad_tol", "max_iters", "stalled" (the accepted step
-    left the grid unchanged) or "line_search_failure".
+    termination is "grad_tol", "max_iters", "stalled" (an Armijo-accepted
+    step did not lower the objective), "non_finite" (the objective or the
+    gradient at the iterate is not finite) or "line_search_failure".
     """
 
     homotopy: Homotopy
@@ -156,6 +157,9 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
 
     min_tau = 1e-20 * tau
     for it in range(cfg.max_iters):
+        if not (np.isfinite(f) and np.isfinite(gnorm)):
+            report.termination = "non_finite"
+            break
         if gnorm <= tol:
             report.termination = "grad_tol"
             break
@@ -179,7 +183,8 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                     "line search failed at iteration 0; check problem scaling")
             report.termination = "line_search_failure"
             break
-        if np.array_equal(cand.grid, h.grid):
+        # accepted only because armijo * t * gsq is below the rounding of f
+        if f_new >= f:
             report.termination = "stalled"
             break
         h = cand
@@ -220,6 +225,8 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
             {"eps": eps, "objective": rep.objective_trace[-1],
              "objective_at_min_eps": at_min})
         merged.termination = rep.termination
+        if rep.termination == "non_finite":
+            break
     merged.homotopy = h
     return merged
 

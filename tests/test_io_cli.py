@@ -1,14 +1,16 @@
+import csv
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bvgeo import (Homotopy, KernelParams, MetricSpec, OptimConfig,
-                   ParseError, RunConfig, continuation, init_linear,
+                   ParseError, PolyCurve, RunConfig, continuation, init_linear,
                    load_config, load_curve, load_homotopy, match_distance,
                    parse_config, save_curve, save_homotopy)
+from bvgeo import optimize
 from bvgeo.cli import _write_trace, main
 from bvgeo.io import CONFIG_KEYS
 from bvgeo.optimize import TRACE_COLUMNS
@@ -18,6 +20,39 @@ from conftest import fourier_curve, smooth_homotopy
 def write_curve_json(path, nodes):
     path.write_text(json.dumps({"nodes": [list(map(float, p)) for p in nodes]}))
     return str(path)
+
+
+# file contents for the loader properties: arbitrary bytes, arbitrary JSON,
+# and documents of the loader's own shape with arbitrary entries (numbers
+# drawn more often, so that some documents are valid)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.sampled_from(["nodes", "N", "n",
+                                                        "slices", "x"]),
+                                       inner, max_size=4), max_leaves=20)
+_POINTS = st.lists(st.lists(st.integers() | st.floats() | _SCALARS,
+                            max_size=3), max_size=6)
+
+
+def _json_bytes(*docs):
+    return st.one_of(st.binary(), *(doc.map(lambda d: json.dumps(d).encode())
+                                    for doc in (_JSON,) + docs))
+
+
+_CURVE_BYTES = {
+    "json": _json_bytes(st.fixed_dictionaries({"nodes": _POINTS})),
+    "csv": st.binary() | st.lists(st.lists(
+        st.sampled_from(["0", "1.5", "-2e3", "nan", "inf", "1e999", ""])
+        | st.text(max_size=3), max_size=3), max_size=6).map(
+            lambda rows: "\n".join(map(",".join, rows)).encode()),
+}
+_HOMOTOPY_BYTES = _json_bytes(st.fixed_dictionaries({
+    "N": st.integers(0, 3) | _SCALARS, "n": st.integers(0, 4) | _SCALARS,
+    "slices": st.lists(_POINTS, max_size=3)}))
+_PROPERTY = settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestCurveFiles:
@@ -76,6 +111,31 @@ class TestCurveFiles:
         with pytest.raises(ParseError, match="line 2"):
             load_curve(p)
 
+    @pytest.mark.parametrize("name,content", [
+        ("bad.json", b"\xff\xfe{"),
+        ("bad.csv", b"0,0\n\xff\xfe{"),
+        ("bad.json", b"[" * 100000 + b"]" * 100000),
+        ("bad.json",
+         b'{"nodes": [[1' + b"0" * 400 + b", 0], [0, 1], [1, 1]]}"),
+    ], ids=["json-not-utf8", "csv-not-utf8", "deep-nesting", "huge-int"])
+    def test_unreadable_file_is_parse_error(self, tmp_path, name, content):
+        p = tmp_path / name
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match=name):
+            load_curve(p)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @_PROPERTY
+    @given(data=st.data())
+    def test_any_bytes_give_curve_or_parse_error(self, tmp_path, fmt, data):
+        p = tmp_path / f"c.{fmt}"
+        p.write_bytes(data.draw(_CURVE_BYTES[fmt]))
+        try:
+            curve = load_curve(p)
+        except ParseError:
+            return
+        assert isinstance(curve, PolyCurve)
+
 
 class TestHomotopyFiles:
     def test_round_trip_exact(self, rng, tmp_path):
@@ -109,6 +169,28 @@ class TestHomotopyFiles:
         p.write_text(text)
         assert main(["energy", str(p)]) == 1
         assert str(p) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{",
+        b"[" * 100000 + b"]" * 100000,
+        b'{"N": 2, "n": 3, "slices": [[[1' + b"0" * 400 + b', 0]]]}',
+    ], ids=["not-utf8", "deep-nesting", "huge-int"])
+    def test_unreadable_file_is_parse_error(self, tmp_path, content):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match="bad.json"):
+            load_homotopy(p)
+
+    @_PROPERTY
+    @given(content=_HOMOTOPY_BYTES)
+    def test_any_bytes_give_homotopy_or_parse_error(self, tmp_path, content):
+        p = tmp_path / "h.json"
+        p.write_bytes(content)
+        try:
+            h = load_homotopy(p)
+        except ParseError:
+            return
+        assert isinstance(h, Homotopy)
 
 
 class TestConfig:
@@ -271,6 +353,31 @@ class TestCli:
                    "--target", tgt, "--out", str(tmp_path / "run")])
         assert rc == 0
         assert "termination stalled" in capsys.readouterr().out
+
+    def test_geodesic_trace_strictly_decreasing(self, rng, tmp_path):
+        # the pair above: a step that Armijo accepts but that leaves the
+        # objective where it was is a stall, not a trace row
+        src, tgt = self.pair(rng, tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("family = h2\nexponent = 1\nmax_iters = 20\n"
+                       "grid = 5 24\neps_schedule = 1e-2\n")
+        main(["geodesic", "--config", str(cfg), "--source", src,
+              "--target", tgt, "--out", str(tmp_path / "run")])
+        with (tmp_path / "run.trace.csv").open() as fh:
+            objective = [float(row["objective"]) for row in csv.DictReader(fh)]
+        assert all(b < a for a, b in zip(objective, objective[1:]))
+
+    def test_geodesic_non_finite_exits_2(self, rng, tmp_path, capsys,
+                                         monkeypatch):
+        src, tgt = self.pair(rng, tmp_path)
+        monkeypatch.setattr(optimize, "match_gradient",
+                            lambda a, b, params: np.full_like(a.nodes, np.nan))
+        rc = main(["geodesic", "--source", src, "--target", tgt,
+                   "--grid", "3,24", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "termination non_finite" in captured.out
+        assert "not finite" in captured.err
 
     def test_energy_empty_eps_schedule_exits_1(self, rng, tmp_path, capsys):
         hp = tmp_path / "h.json"

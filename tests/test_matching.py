@@ -138,3 +138,66 @@ class TestCurrentsDistance:
             a = fourier_curve(rng, 20)
             b = fourier_curve(rng, 20)
             assert currents_distance_sq(a, b, KP) >= -1e-10
+
+
+def _broadcast_reference(a, b, params):
+    """The (n, m, 2) broadcast formulas of H, its gradient and the currents
+    distance, kept as an oracle for the matrix-product form."""
+    def segments(curve):
+        nodes = curve.nodes
+        chords = np.roll(nodes, -1, axis=0) - nodes
+        lens = np.linalg.norm(chords, axis=1)
+        tang = chords / lens[:, None]
+        normals = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+        return 0.5 * (nodes + np.roll(nodes, -1, axis=0)), normals, lens, tang
+
+    def kernels(cx, cy):
+        diff_c = cx[:, None, :] - cy[None, :, :]
+        r2 = np.sum(diff_c * diff_c, axis=2)
+        e1 = np.exp(-r2 / (2.0 * params.sigma ** 2))
+        e2 = np.exp(-r2 / (2.0 * params.delta ** 2))
+        return diff_c, e1 + e2, e1 / params.sigma ** 2 + e2 / params.delta ** 2
+
+    ca, na, la, tang = segments(a)
+    cb, nb, lb, _ = segments(b)
+    diff_c, k, kprime = kernels(ca, cb)
+    diff_n = na[:, None, :] - nb[None, :, :]
+    w = np.sum(diff_n * diff_n, axis=2)
+    value = float(np.sum(w * k * la[:, None] * lb[None, :]))
+
+    alpha = np.sum(w * k * lb[None, :], axis=1)
+    beta = -np.sum((w * kprime * lb[None, :])[:, :, None] * diff_c,
+                   axis=1) * la[:, None]
+    g = 2.0 * np.sum((k * lb[None, :])[:, :, None] * diff_n, axis=1) \
+        * la[:, None]
+    rg = np.stack([g[:, 1], -g[:, 0]], axis=1)
+    h = (rg - np.sum(rg * tang, axis=1)[:, None] * tang) / la[:, None]
+    D = alpha[:, None] * tang + h
+    grad = np.roll(D, 1, axis=0) - D + 0.5 * (np.roll(beta, 1, axis=0) + beta)
+
+    def inner(x, y):
+        cx, nx, lx, _ = segments(x)
+        cy, ny, ly, _ = segments(y)
+        return float(np.sum((nx @ ny.T) * kernels(cx, cy)[1]
+                            * lx[:, None] * ly[None, :]))
+
+    currents = inner(a, a) - 2.0 * inner(a, b) + inner(b, b)
+    return value, grad, currents
+
+
+class TestMatrixProductForm:
+    def test_agrees_with_broadcast_formulas(self, rng):
+        sizes = [(3, 17), (29, 3)] + [
+            tuple(int(s) for s in rng.choice(np.arange(3, 90), 2,
+                                             replace=False))
+            for _ in range(48)]
+        for n, m in sizes:
+            a = fourier_curve(rng, n)
+            b = fourier_curve(rng, m, center=(0.55, 0.45))
+            value, grad, currents = _broadcast_reference(a, b, KP)
+            assert match_distance(a, b, KP) == pytest.approx(value,
+                                                             rel=1e-12)
+            assert np.max(np.abs(match_gradient(a, b, KP) - grad)) \
+                <= 1e-12 * np.max(np.abs(grad))
+            assert abs(currents_distance_sq(a, b, KP) - currents) \
+                <= 1e-12 * abs(currents)

@@ -177,6 +177,23 @@ class TestDescend:
         assert len(rep.rows) == 1
         assert np.array_equal(rep.homotopy.grid, h0.grid)
 
+    def test_non_finite_gradient_terminates(self, rng):
+        # a NaN gradient used to backtrack to min_tau and raise
+        # LineSearchError; it is a named termination instead
+        h0 = Homotopy(smooth_homotopy(rng, 4, 16))
+        tgt = fourier_curve(rng, 16)
+        hook = (lambda curve: 0.0,
+                lambda curve: np.full_like(curve.nodes, np.nan))
+        rep = descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
+                      match_term=hook)
+        assert rep.termination == "non_finite"
+        assert rep.iters_per_stage == [0]
+        assert np.array_equal(rep.homotopy.grid, h0.grid)
+        rep = continuation(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
+                           match_term=hook)
+        assert rep.termination == "non_finite"
+        assert rep.iters_per_stage == [0]
+
     def test_deterministic(self, rng):
         src = fourier_curve(rng, 16)
         tgt = fourier_curve(rng, 16)
