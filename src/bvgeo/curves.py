@@ -38,6 +38,23 @@ def rot90(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> over the last, length-2 axis: np.sum's (0 + x0 y0) + x1 y1,
+    bit for bit, without the per-call cost of a reduction over that axis."""
+    out = x[..., 0] * y[..., 0] + 0.0
+    out += x[..., 1] * y[..., 1]
+    return out
+
+
+def cyclic_shift(x: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """np.roll(x, shift, axis) as one concatenation of two slices, in at
+    most half of np.roll's time on the arrays of the evaluation path."""
+    k = -shift % x.shape[axis]
+    lead = (slice(None),) * (axis % x.ndim)
+    return np.concatenate((x[lead + (slice(k, None),)],
+                           x[lead + (slice(None, k),)]), axis=axis)
+
+
 def smoothed_norm(x: np.ndarray, eps: float) -> np.ndarray:
     """sqrt(|x|^2 + eps^2), the smooth surrogate of the Euclidean norm.
 
@@ -45,8 +62,7 @@ def smoothed_norm(x: np.ndarray, eps: float) -> np.ndarray:
     axis).  For eps > 0 the result is smooth in x and bounded below by eps.
     """
     x = np.asarray(x, dtype=float)
-    sq = np.sum(x * x, axis=-1)
-    return np.sqrt(sq + eps * eps)
+    return np.sqrt(inner(x, x) + eps * eps)
 
 
 def _as_nodes(nodes) -> np.ndarray:
@@ -79,11 +95,12 @@ class PolyCurve:
     @property
     def chords(self) -> np.ndarray:
         """Forward differences: chords[i] = nodes[i+1] - nodes[i] (cyclic)."""
-        return np.roll(self.nodes, -1, axis=0) - self.nodes
+        return cyclic_shift(self.nodes, -1, 0) - self.nodes
 
     @property
     def chord_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.chords, axis=1)
+        chords = self.chords
+        return np.sqrt(inner(chords, chords))
 
     @property
     def speeds(self) -> np.ndarray:
@@ -134,7 +151,8 @@ def first_slow_segment(grid: np.ndarray, min_speed=None):
     Returns the first (curve, segment) whose speed n*|chord| is <= min_speed,
     or None.  The default threshold is MIN_SPEED_REL * length of that curve.
     """
-    chord_lengths = np.linalg.norm(np.roll(grid, -1, axis=1) - grid, axis=2)
+    chords = cyclic_shift(grid, -1, 1) - grid
+    chord_lengths = np.sqrt(inner(chords, chords))
     if min_speed is None:
         min_speed = MIN_SPEED_REL * np.sum(chord_lengths, axis=1,
                                            keepdims=True)
@@ -176,13 +194,18 @@ def frenet_frames(curve: PolyCurve):
     tangent_i = chord_i / |chord_i|, normal_i = rot90(tangent_i).
     Raises DegenerateSegmentError on a zero-length chord.
     """
-    chords = curve.chords
-    lens = np.linalg.norm(chords, axis=1)
+    tangents, _ = unit_chords(curve.chords)
+    return tangents, rot90(tangents)
+
+
+def unit_chords(chords: np.ndarray):
+    """(chords / |chords|, |chords|) of (n, 2) chords; raises
+    DegenerateSegmentError on a zero-length chord."""
+    lens = np.sqrt(inner(chords, chords))
     zero = np.nonzero(lens == 0.0)[0]
     if zero.size:
         raise DegenerateSegmentError(int(zero[0]))
-    tangents = chords / lens[:, None]
-    return tangents, rot90(tangents)
+    return chords / lens[:, None], lens
 
 
 def _point_at_arclength(curve: PolyCurve, cum: np.ndarray,

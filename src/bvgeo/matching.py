@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, frenet_frames, rot90
+from .curves import PolyCurve, cyclic_shift, inner, rot90, unit_chords
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,17 @@ def kernel(v, w, params: KernelParams) -> float:
 
 
 def _segment_data(curve: PolyCurve):
-    mids = 0.5 * (curve.nodes + np.roll(curve.nodes, -1, axis=0))
-    _, normals = frenet_frames(curve)
-    return mids, normals, curve.chord_lengths
+    """Midpoints, unit tangents, unit normals and lengths of the segments."""
+    following = cyclic_shift(curve.nodes, -1, 0)
+    tangents, lens = unit_chords(following - curve.nodes)
+    return 0.5 * (curve.nodes + following), tangents, rot90(tangents), lens
 
 
 def _target_block(curve: PolyCurve):
     """Midpoints d and the (m, 4) block B = [l, l|m|^2, l m] of a curve."""
-    mids, normals, lens = _segment_data(curve)
+    mids, _, normals, lens = _segment_data(curve)
     block = lens[:, None] * np.column_stack(
-        [np.ones_like(lens), np.sum(normals * normals, axis=1), normals])
+        [np.ones_like(lens), inner(normals, normals), normals])
     return mids, block
 
 
@@ -80,13 +81,18 @@ def _kernel_matrices(c, d, params: KernelParams, grad: bool = False):
     """Segment-pair kernel K = e1 + e2 between midpoints c (n, 2) and d
     (m, 2), from one r^2 array; with grad also K' = e1/s^2 + e2/d^2, so
     that dK_ij/dc_i = -K'_ij (c_i - d_j)."""
-    r2 = np.subtract.outer(c[:, 0], d[:, 0]) ** 2
-    r2 += np.subtract.outer(c[:, 1], d[:, 1]) ** 2
-    e1 = np.exp(r2 / (-2.0 * params.sigma ** 2))
-    e2 = np.exp(r2 / (-2.0 * params.delta ** 2))
-    if not grad:
-        return e1 + e2
-    return e1 + e2, e1 / params.sigma ** 2 + e2 / params.delta ** 2
+    r2 = np.subtract.outer(c[:, 0], d[:, 0])
+    np.square(r2, out=r2)
+    dy = np.subtract.outer(c[:, 1], d[:, 1])
+    r2 += np.square(dy, out=dy)
+    e1 = r2 / (-2.0 * params.sigma ** 2)
+    np.exp(e1, out=e1)
+    e2 = np.exp(np.divide(r2, -2.0 * params.delta ** 2, out=r2), out=r2)
+    if grad:
+        kprime = e1 / params.sigma ** 2
+        kprime += np.divide(e2, params.delta ** 2, out=dy)
+    e1 += e2
+    return (e1, kprime) if grad else e1
 
 
 def _mismatch(prod, normals):
@@ -94,13 +100,13 @@ def _mismatch(prod, normals):
     of B in prod = X @ B, by |n - m|^2 = |n|^2 + |m|^2 - 2<n, m>; (n, groups).
     """
     s = prod.reshape(len(normals), -1, 4)
-    return (np.sum(normals * normals, axis=1)[:, None] * s[..., 0]
+    return (inner(normals, normals)[:, None] * s[..., 0]
             + s[..., 1] - 2.0 * np.einsum("igk,ik->ig", s[..., 2:], normals))
 
 
 def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams) -> float:
     """Midpoint-rule discretization of the normal-mismatch kernel integral."""
-    ca, na, la = _segment_data(a)
+    ca, _, na, la = _segment_data(a)
     cb, block = _target_block(b)
     prod = _kernel_matrices(ca, cb, params) @ block
     return float(la @ _mismatch(prod, na)[:, 0])
@@ -113,10 +119,8 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
     Chains through segment midpoints, chord lengths, and the Jacobian of
     the normalized chord under the 90-degree rotation.
     """
-    ca, na, la = _segment_data(a)
+    ca, tang, na, la = _segment_data(a)
     cb, block = _target_block(b)
-    chords = a.chords
-    tang = chords / la[:, None]
     k, kprime = _kernel_matrices(ca, cb, params, grad=True)
 
     prod = k @ block
@@ -135,11 +139,11 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
 
     # map normal gradient through n_i = rot90(chord_i / l_i)
     rg = -rot90(g)                                    # rot90^T = -rot90
-    h = (rg - np.sum(rg * tang, axis=1)[:, None] * tang) / la[:, None]
+    h = (rg - inner(rg, tang)[:, None] * tang) / la[:, None]
 
     D = alpha[:, None] * tang + h                     # d/d chord_i
-    grad = np.roll(D, 1, axis=0) - D                  # chord adjoint
-    grad += 0.5 * (np.roll(beta, 1, axis=0) + beta)   # midpoint term
+    grad = cyclic_shift(D, 1, 0) - D                  # chord adjoint
+    grad += 0.5 * (cyclic_shift(beta, 1, 0) + beta)   # midpoint term
     return grad
 
 
@@ -148,10 +152,10 @@ def currents_distance_sq(a: PolyCurve, b: PolyCurve,
     """Polarization form <a,a> - 2<a,b> + <b,b> of the kernel inner product
     sum_ij <n_i, m_j> k(c_i, d_j) l_i l_j; zero for identical curves."""
 
-    def inner(x, y):
-        cx, nx, lx = _segment_data(x)
-        cy, ny, ly = _segment_data(y)
+    def dot(x, y):
+        cx, _, nx, lx = _segment_data(x)
+        cy, _, ny, ly = _segment_data(y)
         k = _kernel_matrices(cx, cy, params)
         return float(np.sum((lx[:, None] * nx) * (k @ (ly[:, None] * ny))))
 
-    return inner(a, a) - 2.0 * inner(a, b) + inner(b, b)
+    return dot(a, a) - 2.0 * dot(a, b) + dot(b, b)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, TangentField, check_sizes, smoothed_norm
+from .curves import (PolyCurve, TangentField, check_sizes, cyclic_shift,
+                     inner, smoothed_norm)
 
 BV2 = "bv2"
 H2 = "h2"
@@ -98,11 +99,11 @@ class EquivalenceConstants:
 # ---------------------------------------------------------------------------
 
 def _next(x: np.ndarray) -> np.ndarray:
-    return np.roll(x, -1, axis=1)
+    return cyclic_shift(x, -1, 1)
 
 
 def _prev(x: np.ndarray) -> np.ndarray:
-    return np.roll(x, 1, axis=1)
+    return cyclic_shift(x, 1, 1)
 
 
 def _adj_fwd(g: np.ndarray) -> np.ndarray:
@@ -156,8 +157,8 @@ def bv2_norm_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
             R = (_prev(g) - g) / phi_d[..., None]
             g_coeffs += w2 * _adj_fwd(R)
             # wrt d_k through 1/phi_d_k
-            inner = np.sum((g - _prev(g)) * a, axis=2)
-            S = inner[..., None] * d / (phi_d ** 3)[..., None]
+            ga = inner(g - _prev(g), a)
+            S = ga[..., None] * d / (phi_d ** 3)[..., None]
             g_nodes += w2 * _adj_fwd(S)
 
     return value, g_nodes, g_coeffs
@@ -183,7 +184,7 @@ def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
     g_ell = np.zeros_like(ell)
 
     if w0:
-        vsq = np.sum(coeffs * coeffs, axis=2)
+        vsq = inner(coeffs, coeffs)
         pair = 0.5 * (vsq + _next(vsq))
         value += w0 * np.sum(ell * pair, axis=1)
         if grad:
@@ -191,7 +192,7 @@ def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
             g_coeffs += w0 * 2.0 * mass[..., None] * coeffs
 
     if w1:
-        asq = np.sum(a * a, axis=2)
+        asq = inner(a, a)
         value += w1 * np.sum(asq / ell, axis=1)
         if grad:
             g_coeffs += w1 * _adj_fwd(2.0 * a / ell[..., None])
@@ -200,7 +201,7 @@ def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
     if w2:
         u = a / ell[..., None]
         jump = u - _prev(u)                # jump at node i: u_i - u_{i-1}
-        jsq = np.sum(jump * jump, axis=2)
+        jsq = inner(jump, jump)
         value += w2 * np.sum(jsq / mass, axis=1)
         if grad:
             # wrt u_k: in jump_k (+) and jump_{k+1} (-)
@@ -209,7 +210,7 @@ def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
             g_coeffs += w2 * _adj_fwd(W / ell[..., None])
             # wrt ell_k: through u_k = a_k/ell_k and masses m_k, m_{k+1}
             dmass = -jsq / mass ** 2
-            g_ell += w2 * (-np.sum(W * a, axis=2) / ell ** 2
+            g_ell += w2 * (-inner(W, a) / ell ** 2
                            + 0.5 * (dmass + _next(dmass)))
 
     if not grad:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import PolyCurve
+from .curves import PolyCurve, inner
 from .matching import KernelParams, match_distance, match_gradient
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 from .paths import Homotopy, step_powers
@@ -285,17 +285,14 @@ def init_linear(source: PolyCurve, target: PolyCurve, N: int) -> Homotopy:
 def align_start_node(source: PolyCurve, target: PolyCurve) -> PolyCurve:
     """Cyclically shift the target's nodes to best match the source.
 
-    Chooses the shift minimizing the summed node-to-node distance; used
-    before init_linear so corresponding nodes are linked.
+    Chooses the shift minimizing the summed node-to-node distance (the
+    first such shift on a tie); used before init_linear so corresponding
+    nodes are linked.
     """
     if source.n != target.n:
         raise ValueError("node counts differ")
-    best_shift = 0
-    best_cost = np.inf
-    for s in range(target.n):
-        cost = float(np.sum(np.linalg.norm(
-            np.roll(target.nodes, -s, axis=0) - source.nodes, axis=1)))
-        if cost < best_cost:
-            best_cost = cost
-            best_shift = s
-    return PolyCurve(np.roll(target.nodes, -best_shift, axis=0))
+    # row s holds the node indices of the target shifted by s
+    shifted = (np.arange(target.n)[:, None] + np.arange(target.n)) % target.n
+    diff = target.nodes[shifted] - source.nodes
+    costs = np.sum(np.sqrt(inner(diff, diff)), axis=1)
+    return PolyCurve(target.nodes[shifted[np.argmin(costs)]])

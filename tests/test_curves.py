@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bvgeo import (CurveError, DegenerateSegmentError, PolyCurve, TangentField,
                    constant_speed_resample, frenet_frames, length,
                    normalize_to_unit_square, signed_area, smoothed_norm,
                    validate_immersion)
+from bvgeo.curves import cyclic_shift, inner
 from conftest import fourier_curve
 
 
@@ -175,6 +179,42 @@ class TestSmoothedNorm:
             v = smoothed_norm(x, eps)
             assert v >= max(np.linalg.norm(x), eps) - 1e-15
             assert v <= np.linalg.norm(x) + eps + 1e-15
+
+
+# node-grid shapes of the evaluation path: one curve (n, 2), S stacked curves
+# (S, n, 2), and S per-node scalars (S, n)
+_SHAPES = st.one_of(
+    st.tuples(st.integers(3, 12), st.just(2)),
+    st.tuples(st.integers(1, 4), st.integers(3, 12), st.just(2)),
+    st.tuples(st.integers(1, 4), st.integers(3, 12)))
+
+
+@st.composite
+def _array_pairs(draw):
+    shape = draw(_SHAPES)
+    return draw(arrays(np.float64, shape)), draw(arrays(np.float64, shape))
+
+
+class TestVectorHelpers:
+    """inner and cyclic_shift stand in for np.sum over the length-2 axis and
+    for np.roll on the evaluation path; every bit must survive, signed zeros,
+    infinities and NaNs included."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_array_pairs())
+    @example((np.zeros((3, 2)), -np.zeros((3, 2))))
+    @example((np.arange(12.0).reshape(2, 3, 2), np.ones((2, 3, 2))))
+    @example((np.arange(6.0).reshape(2, 3), -np.arange(6.0).reshape(2, 3)))
+    def test_bitwise_equal_to_numpy_forms(self, pair):
+        x, y = pair
+        with np.errstate(all="ignore"):
+            if x.shape[-1] == 2:
+                assert (inner(x, y).tobytes()
+                        == np.sum(x * y, axis=-1).tobytes())
+        for axis in range(x.ndim):
+            for shift in (1, -1):
+                assert (cyclic_shift(x, shift, axis).tobytes()
+                        == np.roll(x, shift, axis).tobytes())
 
 
 class TestSignedArea:

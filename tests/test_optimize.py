@@ -16,6 +16,17 @@ BV_SPEC = MetricSpec(family=BV2, weights=(1.0, 0.0, 1.0), eps=1e-2, exponent=2)
 H2_SPEC = MetricSpec(family=H2, weights=(1.0, 0.0, 1.0), eps=1e-2, exponent=2)
 
 
+# objective traces of TestContinuation.test_objective_traces_pinned
+PINNED_TRACES = {
+    BV2: [113.83967338256568, 108.70585137018526, 99.60145821485037,
+          90.89327241346258, 87.50412474557449, 87.16720626135873,
+          87.05401366606196, 85.00097639097821, 84.80122166935915],
+    H2: [63.079462583984856, 61.04178335550458, 59.80810465540463,
+         60.16423100074841, 59.7595527463483, 58.94706380733676,
+         58.950558356264835, 58.7586094102492, 57.8520545619065],
+}
+
+
 def quadratic_match(target):
     """Surrogate endpoint term ||c - target||^2 with its exact gradient."""
 
@@ -95,6 +106,26 @@ class TestGradient:
         spec = replace(spec, weights=(1.0, 0.0, 0.0))
         assert fd_check(init_constant(src, 2), tgt, spec, KP, num_coords=40,
                         seed=3) <= 1e-5
+
+    @pytest.mark.parametrize("init", ["constant", "linear"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("family", [BV2, H2])
+    def test_finite_differences_from_initializers(self, rng, family, p,
+                                                  init):
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        spec = replace(BV_SPEC, family=family, exponent=p)
+        if init == "linear":
+            h = init_linear(src, tgt, 5)
+        elif p == 2:
+            h = init_constant(src, 5)
+        else:
+            # the p = 1 kink at zero velocity: the N = 2 layout of
+            # test_h2_norm_at_zero_velocity, where every sample is on the
+            # last slice (BV2 at N = 5 measured 2.2e-5, an O(h^2) term)
+            h = init_constant(src, 2)
+            if family == H2:
+                spec = replace(spec, weights=(1.0, 0.0, 0.0))
+        assert fd_check(h, tgt, spec, KP, num_coords=40, seed=3) <= 1e-5
 
     def test_rotation_equivariance(self, rng):
         h = Homotopy(smooth_homotopy(rng, 5, 16))
@@ -245,6 +276,23 @@ class TestContinuation:
         assert rep.objective_trace[1] == rep.rows[1][col] == -1.0
         assert rep.objective_trace[-1] == rep.rows[-1][col] == 2.0 * final
 
+    def test_objective_traces_pinned(self):
+        # linear-init BV2 and H2 runs at (N, n) = (6, 24), two iterations
+        # per stage: a change made for speed must not move these traces;
+        # 1e-12 relative leaves room for BLAS rounding between machines
+        theta = 2 * np.pi * np.arange(24) / 24
+        src = PolyCurve(np.stack([0.5 + 0.3 * np.cos(theta),
+                                  0.5 + 0.2 * np.sin(theta)], axis=1))
+        r = 0.25 + 0.05 * np.cos(3 * theta)
+        tgt = PolyCurve(np.stack([0.55 + r * np.cos(theta),
+                                  0.45 + r * np.sin(theta)], axis=1))
+        cfg = OptimConfig(max_iters=2)
+        for family, trace in PINNED_TRACES.items():
+            spec = MetricSpec(family=family, weights=(1.0, 1.0, 1.0))
+            rep = continuation(init_linear(src, tgt, 6), tgt, spec, KP, cfg)
+            assert rep.iters_per_stage == [2, 2, 2]
+            assert rep.objective_trace == pytest.approx(trace, rel=1e-12)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             OptimConfig(eps_schedule=(1e-2, 1e-1))
@@ -281,6 +329,35 @@ class TestInitializers:
         shifted = PolyCurve(np.roll(src.nodes, 7, axis=0))
         aligned = align_start_node(src, shifted)
         assert np.array_equal(aligned.nodes, src.nodes)
+
+    @staticmethod
+    def _align_loop(source, target):
+        """The per-shift loop align_start_node replaced, as its oracle."""
+        best_shift, best_cost = 0, np.inf
+        for s in range(target.n):
+            cost = float(np.sum(np.linalg.norm(
+                np.roll(target.nodes, -s, axis=0) - source.nodes, axis=1)))
+            if cost < best_cost:
+                best_shift, best_cost = s, cost
+        return np.roll(target.nodes, -best_shift, axis=0)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 64, 256])
+    def test_align_start_node_matches_loop(self, rng, n):
+        for _ in range(5):
+            src = fourier_curve(rng, n, wobble=0.2)
+            tgt = PolyCurve(np.roll(fourier_curve(rng, n, wobble=0.2).nodes,
+                                    int(rng.integers(n)), axis=0))
+            assert np.array_equal(align_start_node(src, tgt).nodes,
+                                  self._align_loop(src, tgt))
+
+    def test_align_start_node_tie_takes_first_shift(self):
+        # shifts 1 and 3 both cost exactly 7 (3-4-5 distances), shifts 0
+        # and 2 more; the first minimal shift wins
+        src = PolyCurve([[0, 0], [10, 0], [0, 0], [10, 0]])
+        tgt = PolyCurve([[10, 0], [0, 0], [10, 3], [0, 4]])
+        want = np.roll(tgt.nodes, -1, axis=0)
+        assert np.array_equal(align_start_node(src, tgt).nodes, want)
+        assert np.array_equal(self._align_loop(src, tgt), want)
 
     def test_align_start_node_identity(self, rng):
         src = fourier_curve(rng, 20)
