@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,10 @@ EXIT_INPUT = 1
 EXIT_OPTIM = 2
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args reads the parser and changes
+    # nothing in it, so every call of main can share one
     parser = argparse.ArgumentParser(
         prog="bvgeo",
         description="Approximate minimal geodesic homotopies between closed "

@@ -5,11 +5,18 @@ A curve is stored as an ordered list of n nodes; indexing is cyclic
 to node i+1.  On segment i the derivative of the piecewise-affine
 interpolant is the constant n * chord_i, so chord lengths carry all the
 metric information.
+
+Everything a curve's geometry determines (chords, lengths, the segments'
+midpoints, unit tangents and normals, and the blocks the matching term
+multiplies kernel matrices by) is a cached property of the immutable
+``PolyCurve``, computed on first use and then shared by every caller.  The
+cached arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +53,23 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def inner_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``inner`` for coordinate-major arrays, whose leading axis is the
+    length-2 one: the same bits, each product running over a whole block
+    of one coordinate."""
+    out = x[0] * y[0] + 0.0
+    out += x[1] * y[1]
+    return out
+
+
+def sq_norm_cm(x: np.ndarray) -> np.ndarray:
+    """inner_cm(x, x), bit for bit: a square is never -0, so the + 0.0
+    that keeps inner's signed zeros is a no-op here and is left out."""
+    out = x[0] * x[0]
+    out += x[1] * x[1]
+    return out
+
+
 def cyclic_shift(x: np.ndarray, shift: int, axis: int) -> np.ndarray:
     """np.roll(x, shift, axis) as one concatenation of two slices, in at
     most half of np.roll's time on the arrays of the evaluation path."""
@@ -63,6 +87,11 @@ def smoothed_norm(x: np.ndarray, eps: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return np.sqrt(inner(x, x) + eps * eps)
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def _as_nodes(nodes) -> np.ndarray:
@@ -83,24 +112,64 @@ class PolyCurve:
     nodes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_nodes(self.nodes)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "nodes", arr)
+        object.__setattr__(self, "nodes",
+                           _frozen(_as_nodes(self.nodes).copy()))
 
     @property
     def n(self) -> int:
         return self.nodes.shape[0]
 
+    @cached_property
+    def _chord_data(self):
+        """(following nodes, chords, chord lengths); one shift serves all."""
+        following = cyclic_shift(self.nodes, -1, 0)
+        chords = _frozen(following - self.nodes)
+        return following, chords, _frozen(np.sqrt(inner(chords, chords)))
+
     @property
     def chords(self) -> np.ndarray:
         """Forward differences: chords[i] = nodes[i+1] - nodes[i] (cyclic)."""
-        return cyclic_shift(self.nodes, -1, 0) - self.nodes
+        return self._chord_data[1]
 
     @property
     def chord_lengths(self) -> np.ndarray:
-        chords = self.chords
-        return np.sqrt(inner(chords, chords))
+        return self._chord_data[2]
+
+    @cached_property
+    def segments(self):
+        """(midpoints, unit tangents, unit normals, lengths) of the segments.
+
+        Raises DegenerateSegmentError on a zero-length chord, on every
+        access: a raising property caches nothing.
+        """
+        following, chords, lens = self._chord_data
+        if not lens.all():
+            raise DegenerateSegmentError(int(np.argmin(lens != 0.0)))
+        tangents = _frozen(chords / lens[:, None])
+        return (_frozen(0.5 * (self.nodes + following)), tangents,
+                _frozen(rot90(tangents)), lens)
+
+    @cached_property
+    def kernel_block(self) -> np.ndarray:
+        """The (n, 4) block B = [l, l|m|^2, l m] of segment lengths l and
+        unit normals m, by which ``matching`` multiplies kernel matrices
+        when this curve is the target."""
+        _, _, normals, lens = self.segments
+        return _frozen(lens[:, None] * np.column_stack(
+            [np.ones_like(lens), inner(normals, normals), normals]))
+
+    @cached_property
+    def kernel_moments(self):
+        """(o, M): the mean o of the segment midpoints d and the (n, 12)
+        moments M = [B, B (d - o)_x, B (d - o)_y] of ``kernel_block`` B,
+        for the matching gradient's kernel-derivative products."""
+        mids = self.segments[0]
+        block = self.kernel_block
+        origin = np.mean(mids, axis=0)
+        centred = mids - origin
+        moments = np.hstack([block, block * centred[:, :1],
+                             block * centred[:, 1:]])
+        return _frozen(origin), _frozen(moments)
 
     @property
     def speeds(self) -> np.ndarray:
@@ -145,19 +214,18 @@ def check_sizes(curve: PolyCurve, field: TangentField) -> None:
             f"field size {field.n} does not match curve size {curve.n}")
 
 
-def first_slow_segment(grid: np.ndarray, min_speed=None):
-    """Discrete immersion test of S stacked curves, grid of shape (S, n, 2).
+def first_slow_segment(lengths: np.ndarray, min_speed=None):
+    """Discrete immersion test of S stacked curves, given their (S, n)
+    chord lengths.
 
     Returns the first (curve, segment) whose speed n*|chord| is <= min_speed,
     or None.  The default threshold is MIN_SPEED_REL * length of that curve.
     """
-    chords = cyclic_shift(grid, -1, 1) - grid
-    chord_lengths = np.sqrt(inner(chords, chords))
     if min_speed is None:
-        min_speed = MIN_SPEED_REL * np.sum(chord_lengths, axis=1,
-                                           keepdims=True)
-    bad = np.flatnonzero(grid.shape[1] * chord_lengths <= min_speed)
-    return divmod(int(bad[0]), grid.shape[1]) if bad.size else None
+        min_speed = MIN_SPEED_REL * np.sum(lengths, axis=1, keepdims=True)
+    n = lengths.shape[1]
+    bad = np.flatnonzero(n * lengths <= min_speed)
+    return divmod(int(bad[0]), n) if bad.size else None
 
 
 def validate_immersion(curve: PolyCurve, min_speed: float | None = None):
@@ -166,7 +234,7 @@ def validate_immersion(curve: PolyCurve, min_speed: float | None = None):
     Returns (ok, offending_index); offending_index is None when ok, else the
     first segment whose speed n*|chord| is <= min_speed.
     """
-    bad = first_slow_segment(curve.nodes[None], min_speed)
+    bad = first_slow_segment(curve.chord_lengths[None], min_speed)
     return (True, None) if bad is None else (False, bad[1])
 
 
@@ -183,8 +251,8 @@ def signed_area(curve: PolyCurve) -> float:
     """
     x = curve.nodes[:, 0]
     y = curve.nodes[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
+    xn = cyclic_shift(x, -1, 0)
+    yn = cyclic_shift(y, -1, 0)
     return float(0.5 * np.sum(x * yn - xn * y))
 
 
@@ -194,18 +262,8 @@ def frenet_frames(curve: PolyCurve):
     tangent_i = chord_i / |chord_i|, normal_i = rot90(tangent_i).
     Raises DegenerateSegmentError on a zero-length chord.
     """
-    tangents, _ = unit_chords(curve.chords)
-    return tangents, rot90(tangents)
-
-
-def unit_chords(chords: np.ndarray):
-    """(chords / |chords|, |chords|) of (n, 2) chords; raises
-    DegenerateSegmentError on a zero-length chord."""
-    lens = np.sqrt(inner(chords, chords))
-    zero = np.nonzero(lens == 0.0)[0]
-    if zero.size:
-        raise DegenerateSegmentError(int(zero[0]))
-    return chords / lens[:, None], lens
+    _, tangents, normals, _ = curve.segments
+    return tangents, normals
 
 
 def _point_at_arclength(curve: PolyCurve, cum: np.ndarray,
@@ -244,7 +302,8 @@ def constant_speed_resample(curve: PolyCurve, m: int,
     s = total * np.arange(m) / m
     nodes = _point_at_arclength(curve, cum, s)
     for _ in range(max_passes):
-        chords = np.linalg.norm(np.roll(nodes, -1, axis=0) - nodes, axis=1)
+        diff = cyclic_shift(nodes, -1, 0) - nodes
+        chords = np.sqrt(inner(diff, diff))
         cmin = float(np.min(chords))
         cmax = float(np.max(chords))
         if cmin > 0.0 and cmax / cmin <= 1.0 + rel_tol:

@@ -19,7 +19,10 @@ B = [l, l|m|^2, l m].  The gradient multiplies K by B and K' (the kernel's
 radial derivative factor) by B and its products with the midpoints d; the
 currents inner product is sum_k (l n_k)^T K (l m_k).  What remains of the
 O(n m) cost is forming K (two exponentials per segment pair); the products
-are BLAS calls on thin blocks.
+are BLAS calls on thin blocks.  The segment data of both curves and the
+target's blocks are cached properties of the curves (``PolyCurve.segments``,
+``kernel_block``, ``kernel_moments``), so a target's side is computed once
+per target object.
 
 Note that this discretization (like its continuous form) is positive even
 for two identical curves: non-corresponding segment pairs contribute.  Nor
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, cyclic_shift, inner, rot90, unit_chords
+from .curves import PolyCurve, cyclic_shift, inner, rot90
 
 
 @dataclass(frozen=True)
@@ -60,21 +63,6 @@ def kernel(v, w, params: KernelParams) -> float:
     r2 = np.sum((v - w) ** 2, axis=-1)
     return (np.exp(-r2 / (2.0 * params.sigma ** 2))
             + np.exp(-r2 / (2.0 * params.delta ** 2)))
-
-
-def _segment_data(curve: PolyCurve):
-    """Midpoints, unit tangents, unit normals and lengths of the segments."""
-    following = cyclic_shift(curve.nodes, -1, 0)
-    tangents, lens = unit_chords(following - curve.nodes)
-    return 0.5 * (curve.nodes + following), tangents, rot90(tangents), lens
-
-
-def _target_block(curve: PolyCurve):
-    """Midpoints d and the (m, 4) block B = [l, l|m|^2, l m] of a curve."""
-    mids, _, normals, lens = _segment_data(curve)
-    block = lens[:, None] * np.column_stack(
-        [np.ones_like(lens), inner(normals, normals), normals])
-    return mids, block
 
 
 def _kernel_matrices(c, d, params: KernelParams, grad: bool = False):
@@ -106,9 +94,8 @@ def _mismatch(prod, normals):
 
 def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams) -> float:
     """Midpoint-rule discretization of the normal-mismatch kernel integral."""
-    ca, _, na, la = _segment_data(a)
-    cb, block = _target_block(b)
-    prod = _kernel_matrices(ca, cb, params) @ block
+    ca, _, na, la = a.segments
+    prod = _kernel_matrices(ca, b.segments[0], params) @ b.kernel_block
     return float(la @ _mismatch(prod, na)[:, 0])
 
 
@@ -119,11 +106,10 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
     Chains through segment midpoints, chord lengths, and the Jacobian of
     the normalized chord under the 90-degree rotation.
     """
-    ca, tang, na, la = _segment_data(a)
-    cb, block = _target_block(b)
-    k, kprime = _kernel_matrices(ca, cb, params, grad=True)
+    ca, tang, na, la = a.segments
+    k, kprime = _kernel_matrices(ca, b.segments[0], params, grad=True)
 
-    prod = k @ block
+    prod = k @ b.kernel_block
     # dH/dl_i
     alpha = _mismatch(prod, na)[:, 0]
     # dH/dn_i = 2 l_i sum_j k_ij l_j (n_i - m_j)
@@ -131,9 +117,8 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
     # dH/dc_i (kernel factor), already including l_i: the sums over j of
     # w k' l_j and of w k' l_j d_j; midpoints taken about the target's
     # centroid so the difference c_i A_i - V_i cancels little
-    origin = np.mean(cb, axis=0)
-    cb, ca = cb - origin, ca - origin
-    moments = np.hstack([block, block * cb[:, :1], block * cb[:, 1:]])
+    origin, moments = b.kernel_moments
+    ca = ca - origin
     av = _mismatch(kprime @ moments, na)              # (n, 3): A, V
     beta = -(av[:, :1] * ca - av[:, 1:]) * la[:, None]
 
@@ -153,8 +138,8 @@ def currents_distance_sq(a: PolyCurve, b: PolyCurve,
     sum_ij <n_i, m_j> k(c_i, d_j) l_i l_j; zero for identical curves."""
 
     def dot(x, y):
-        cx, _, nx, lx = _segment_data(x)
-        cy, _, ny, ly = _segment_data(y)
+        cx, _, nx, lx = x.segments
+        cy, _, ny, ly = y.segments
         k = _kernel_matrices(cx, cy, params)
         return float(np.sum((lx[:, None] * nx) * (k @ (ly[:, None] * ny))))
 

@@ -20,11 +20,13 @@ where the last term is the distributional second derivative (node jumps of
 the first derivative) divided by the lumped node mass.
 
 Each family has one batched kernel over S curves and fields stacked as
-(S, n, 2) arrays; one call covers every step of a path.  With ``grad`` it
-adds the exact partials wrt nodes and coefficients (checked against finite
-differences in the test suite); values alone are defined at eps = 0 and at
-zero velocity, where the BV2 partials are 0/0.  j0, j1, j2 and the
-*_tangent_norm* functions are single-field wrappers around the kernels.
+(S, n, 2) arrays; one call covers every step of a path.  The kernels
+compute on coordinate-major (2, S, n) views of those arrays (see the note
+above them).  With ``grad`` a kernel adds the exact partials wrt nodes and
+coefficients (checked against finite differences in the test suite);
+values alone are defined at eps = 0 and at zero velocity, where the BV2
+partials are 0/0.  j0, j1, j2 and the *_tangent_norm* functions are
+single-field wrappers around the kernels.
 
 Known fault: the smoothed BV2 norm is not monotone in eps.  J2 divides by
 |d|_{eps/n}, so eps > 0 shrinks the arclength derivative, which on rough
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (PolyCurve, TangentField, check_sizes, cyclic_shift,
-                     inner, smoothed_norm)
+                     inner, inner_cm, smoothed_norm, sq_norm_cm)
 
 BV2 = "bv2"
 H2 = "h2"
@@ -94,129 +96,209 @@ class EquivalenceConstants:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels on stacked (S, n, 2) nodes and coefficients; the node axis
-# is axis 1 and cyclic
+# Batched kernels.  They take and return (S, n, 2) arrays, but compute on
+# their coordinate-major (2, S, n) views: a per-segment (S, n) scalar then
+# multiplies both coordinates as one broadcast over the leading axis, never
+# as a loop over a length-2 innermost axis.  The partials they return are
+# (S, n, 2) views of fresh coordinate-major arrays, which the caller owns;
+# a caller that holds its data coordinate-major (``paths.step_powers``)
+# passes views in too, so neither conversion copies.  The node axis is the
+# last one and cyclic.
 # ---------------------------------------------------------------------------
 
+def _cm(x: np.ndarray) -> np.ndarray:
+    """(S, n, 2) -> its (2, S, n) coordinate-major view."""
+    return x.transpose(2, 0, 1)
+
+
+def _pts(x: np.ndarray) -> np.ndarray:
+    """(2, S, n) -> its (S, n, 2) view; the inverse of ``_cm``."""
+    return x.transpose(1, 2, 0)
+
+
+# cyclic_shift along the node axis, spelled out: its general axis handling
+# costs about a third of a shift of these arrays, and a gradient pass makes
+# some twenty shifts
 def _next(x: np.ndarray) -> np.ndarray:
-    return cyclic_shift(x, -1, 1)
+    return np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
 
 
 def _prev(x: np.ndarray) -> np.ndarray:
-    return cyclic_shift(x, 1, 1)
+    return np.concatenate((x[..., -1:], x[..., :-1]), axis=-1)
 
 
 def _adj_fwd(g: np.ndarray) -> np.ndarray:
     """Adjoint of the forward difference: grad wrt x of sum_i <g_i, fwd(x)_i>."""
-    return _prev(g) - g
+    out = _prev(g)
+    out -= g
+    return out
+
+
+def _scaled(w: float, x: np.ndarray) -> np.ndarray:
+    """w * x, in place on the temporary x."""
+    x *= w
+    return x
+
+
+def _norm(x: np.ndarray, c: float) -> np.ndarray:
+    """``smoothed_norm`` of coordinate-major vectors."""
+    out = sq_norm_cm(x)
+    out += c * c
+    return np.sqrt(out, out=out)
+
+
+def _entry(nodes, coeffs, chords):
+    """Coordinate-major chords, field and field differences."""
+    v = _cm(coeffs)
+    if chords is None:
+        x = _cm(nodes)
+        d = _next(x)
+        d -= x
+    else:
+        d = _cm(chords)
+    a = _next(v)
+    a -= v
+    return d, v, a
 
 
 def bv2_norm_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
-                          weights, eps: float, grad: bool = True):
+                          weights, eps: float, grad: bool = True,
+                          chords: np.ndarray | None = None):
     """Weighted BV2 norms w0*J0 + w1*J1 + w2*J2 of S fields on S curves.
 
     Returns (values (S,), d/d nodes, d/d coeffs); the partials are None
     unless grad.  They are 0/0 at eps = 0 wherever a difference vanishes.
+    chords, if given, are the curves' forward node differences, (S, n, 2),
+    and save recomputing them.
     """
-    n = nodes.shape[1]
-    mu = eps / n
+    d, v, a = _entry(nodes, coeffs, chords)
+    mu = eps / d.shape[-1]
     w0, w1, w2 = weights
-    d = _next(nodes) - nodes
-    a = _next(coeffs) - coeffs
-    phi_d = smoothed_norm(d, mu)           # |d_i|_{eps/n}
-    value = np.zeros(nodes.shape[0])
-    g_nodes = np.zeros_like(nodes) if grad else None
-    g_coeffs = np.zeros_like(coeffs) if grad else None
+    phi_d = _norm(d, mu)                   # |d_i|_{eps/n}
+    value = np.zeros(d.shape[1])
+    g_nodes = np.zeros(d.shape) if grad else None
+    g_coeffs = np.zeros(v.shape) if grad else None
 
     if w0:
-        phi_v = smoothed_norm(coeffs, eps)
+        phi_v = _norm(v, eps)
         pair = phi_v + _next(phi_v)
         value += w0 * 0.5 * np.sum(phi_d * pair, axis=1)
         if grad:
             # via d_i
-            P = 0.5 * pair[..., None] * d / phi_d[..., None]
-            g_nodes += w0 * _adj_fwd(P)
+            P = 0.5 * pair * d
+            P /= phi_d
+            g_nodes += _scaled(w0, _adj_fwd(P))
             # via v_j: both adjacent segments contribute phi_d
-            coef = 0.5 * (_prev(phi_d) + phi_d)
-            g_coeffs += w0 * coef[..., None] * coeffs / phi_v[..., None]
+            coef = _prev(phi_d)
+            coef += phi_d
+            coef *= 0.5
+            coef *= w0
+            P = coef * v
+            P /= phi_v
+            g_coeffs += P
 
     if w1:
-        phi_a = smoothed_norm(a, mu)
+        phi_a = _norm(a, mu)
         value += w1 * np.sum(phi_a, axis=1)
         if grad:
-            g_coeffs += w1 * _adj_fwd(a / phi_a[..., None])
+            g_coeffs += _scaled(w1, _adj_fwd(a / phi_a))
 
     if w2:
-        u = a / phi_d[..., None]
-        b = _next(u) - u
-        phi_b = smoothed_norm(b, eps)
+        u = a / phi_d
+        b = _next(u)
+        b -= u
+        phi_b = _norm(b, eps)
         value += w2 * np.sum(phi_b, axis=1)
         if grad:
-            g = b / phi_b[..., None]          # d phi_b / d b
+            g = b
+            g /= phi_b                     # d phi_b / d b
+            g_prev = _prev(g)
             # wrt a_k: appears in b_{k-1} (+1/phi_d_k) and b_k (-1/phi_d_k)
-            R = (_prev(g) - g) / phi_d[..., None]
-            g_coeffs += w2 * _adj_fwd(R)
+            R = g_prev - g
+            R /= phi_d
+            g_coeffs += _scaled(w2, _adj_fwd(R))
             # wrt d_k through 1/phi_d_k
-            ga = inner(g - _prev(g), a)
-            S = ga[..., None] * d / (phi_d ** 3)[..., None]
-            g_nodes += w2 * _adj_fwd(S)
+            ga = inner_cm(np.subtract(g, g_prev, out=g_prev), a)
+            S = ga * d
+            S /= phi_d ** 3
+            g_nodes += _scaled(w2, _adj_fwd(S))
 
-    return value, g_nodes, g_coeffs
+    if not grad:
+        return value, None, None
+    return value, _pts(g_nodes), _pts(g_coeffs)
 
 
 def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
-                       weights, eps: float, grad: bool = True):
-    """Weighted squared H2 norms of S fields on S curves, with partials as
-    in ``bv2_norm_and_partials``."""
-    n = nodes.shape[1]
-    mu = eps / n
+                       weights, eps: float, grad: bool = True,
+                       chords: np.ndarray | None = None):
+    """Weighted squared H2 norms of S fields on S curves, with partials and
+    chords as in ``bv2_norm_and_partials``."""
+    d, v, a = _entry(nodes, coeffs, chords)
+    mu = eps / d.shape[-1]
     w0, w1, w2 = weights
-    d = _next(nodes) - nodes
-    a = _next(coeffs) - coeffs
-    ell = smoothed_norm(d, mu)
+    ell = _norm(d, mu)
     if np.any(ell == 0.0):
         raise ZeroDivisionError("zero-length segment in H2 norm")
-    mass = 0.5 * (_prev(ell) + ell)        # lumped node masses
+    mass = _prev(ell)
+    mass += ell
+    mass *= 0.5                            # lumped node masses
 
-    value = np.zeros(nodes.shape[0])
-    g_coeffs = np.zeros_like(coeffs) if grad else None
+    value = np.zeros(d.shape[1])
+    g_coeffs = np.zeros(v.shape) if grad else None
     # accumulated d/d ell_i, mapped to nodes once at the end
     g_ell = np.zeros_like(ell)
 
     if w0:
-        vsq = inner(coeffs, coeffs)
-        pair = 0.5 * (vsq + _next(vsq))
+        vsq = sq_norm_cm(v)
+        pair = _next(vsq)
+        pair += vsq
+        pair *= 0.5
         value += w0 * np.sum(ell * pair, axis=1)
         if grad:
             g_ell += w0 * pair
-            g_coeffs += w0 * 2.0 * mass[..., None] * coeffs
+            g_coeffs += w0 * 2.0 * mass * v
 
     if w1:
-        asq = inner(a, a)
+        asq = sq_norm_cm(a)
         value += w1 * np.sum(asq / ell, axis=1)
         if grad:
-            g_coeffs += w1 * _adj_fwd(2.0 * a / ell[..., None])
-            g_ell += -w1 * asq / ell ** 2
+            t = 2.0 * a
+            t /= ell
+            g_coeffs += _scaled(w1, _adj_fwd(t))
+            t = -w1 * asq
+            t /= ell ** 2
+            g_ell += t
 
     if w2:
-        u = a / ell[..., None]
-        jump = u - _prev(u)                # jump at node i: u_i - u_{i-1}
-        jsq = inner(jump, jump)
+        u = a / ell
+        jump = _prev(u)
+        np.subtract(u, jump, out=jump)     # at node i: u_i - u_{i-1}
+        jsq = sq_norm_cm(jump)
         value += w2 * np.sum(jsq / mass, axis=1)
         if grad:
             # wrt u_k: in jump_k (+) and jump_{k+1} (-)
-            t = 2.0 * jump / mass[..., None]
-            W = t - _next(t)
-            g_coeffs += w2 * _adj_fwd(W / ell[..., None])
+            t = 2.0 * jump
+            t /= mass
+            W = _next(t)
+            np.subtract(t, W, out=W)
+            t = W / ell
+            g_coeffs += _scaled(w2, _adj_fwd(t))
             # wrt ell_k: through u_k = a_k/ell_k and masses m_k, m_{k+1}
-            dmass = -jsq / mass ** 2
-            g_ell += w2 * (-inner(W, a) / ell ** 2
-                           + 0.5 * (dmass + _next(dmass)))
+            dmass = -jsq
+            dmass /= mass ** 2
+            t = -inner_cm(W, a)
+            t /= ell ** 2
+            dm = _next(dmass)
+            dm += dmass
+            dm *= 0.5
+            t += dm
+            g_ell += _scaled(w2, t)
 
     if not grad:
         return value, None, None
-    dl_dd = d / ell[..., None]             # d ell_i / d d_i
-    return value, _adj_fwd(g_ell[..., None] * dl_dd), g_coeffs
+    dl_dd = d / ell                        # d ell_i / d d_i
+    dl_dd *= g_ell
+    return value, _pts(_adj_fwd(dl_dd)), _pts(g_coeffs)
 
 
 def _value(kernel, curve: PolyCurve, field: TangentField, weights,
@@ -270,11 +352,12 @@ def flat_bv2_norm(field: TangentField, eps: float = 0.0) -> float:
     """
     v = field.coeffs
     n = field.n
-    a = np.roll(v, -1, axis=0) - v
+    a = cyclic_shift(v, -1, 0) - v
     l1 = float(np.sum(smoothed_norm(v, eps))) / n
     w11 = float(np.sum(smoothed_norm(a, eps)))
     deriv = n * a
-    tv2 = float(np.sum(smoothed_norm(np.roll(deriv, -1, axis=0) - deriv, eps)))
+    tv2 = float(np.sum(smoothed_norm(cyclic_shift(deriv, -1, 0) - deriv,
+                                     eps)))
     return l1 + w11 + tv2
 
 
@@ -293,8 +376,8 @@ def equivalence_constants(curve: PolyCurve) -> EquivalenceConstants:
     sup = float(np.max(speeds))
     inf = float(np.min(speeds))
     deriv = curve.n * curve.chords
-    jumps = float(np.sum(np.linalg.norm(
-        np.roll(deriv, -1, axis=0) - deriv, axis=1)))
+    jump = cyclic_shift(deriv, -1, 0) - deriv
+    jumps = float(np.sum(np.sqrt(inner(jump, jump))))
     bv = float(np.sum(speeds)) / curve.n + jumps
     M = max(sup, bv / inf ** 2)
     m = min(inf, 1.0 / bv)

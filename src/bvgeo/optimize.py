@@ -107,7 +107,7 @@ class LineSearchError(RuntimeError):
 
 def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
     # looked up here at call time: perfbench/tracing.py wraps these names
-    return step_powers(h.grid, spec, grad,
+    return step_powers(h, spec, grad,
                        (bv2_norm_and_partials, h2_sq_and_partials))
 
 

@@ -10,15 +10,21 @@ multiplying, reproducing a formula variant whose energy scale depends on the
 time grid; the difference-quotient convention is the default because it
 makes the discrete energy a consistent quadrature of the continuous one (the
 translation path then has its analytic energy value, independent of N).
+
+A ``Homotopy`` is immutable and computes its geometry once: the chords of
+every slice, coordinate-major and shared by the immersion test and the
+energy kernels, and one ``PolyCurve`` per slice index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .curves import PolyCurve, TangentField, first_slow_segment, length
+from .curves import (PolyCurve, TangentField, cyclic_shift, first_slow_segment,
+                     sq_norm_cm)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 # unused here; perfbench/tracing.py wraps these two names on this module
 from .metrics import bv2_tangent_norm, h2_tangent_norm_sq  # noqa: F401
@@ -43,6 +49,8 @@ class Homotopy:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "grid", arr)
+        # slice_curve's curves, one per slice index
+        object.__setattr__(self, "_slices", {})
 
     @property
     def N(self) -> int:
@@ -52,12 +60,28 @@ class Homotopy:
     def n(self) -> int:
         return self.grid.shape[1]
 
+    @cached_property
+    def chords(self) -> np.ndarray:
+        """Chords of every slice, (2, N, n) coordinate-major, read-only: the
+        one chord pass shared by the immersion test and the energy kernels."""
+        x = self.grid.transpose(2, 0, 1).copy()
+        out = cyclic_shift(x, -1, -1)
+        out -= x
+        out.flags.writeable = False
+        return out
+
     def slice_curve(self, i: int) -> PolyCurve:
-        return PolyCurve(self.grid[i])
+        """Slice i as a curve: the same object on every call with i, so
+        its cached segment geometry is computed once."""
+        i = range(self.N)[i]
+        curve = self._slices.get(i)
+        if curve is None:
+            curve = self._slices[i] = PolyCurve(self.grid[i])
+        return curve
 
     def validate_slices(self, min_speed: float | None = None):
         """First (slice, segment) failing ``validate_immersion``, or None."""
-        return first_slow_segment(self.grid, min_speed)
+        return first_slow_segment(np.sqrt(sq_norm_cm(self.chords)), min_speed)
 
 
 @dataclass(frozen=True)
@@ -94,49 +118,65 @@ def velocity(h: Homotopy, i: int, paper_literal: bool = False) -> TangentField:
     return TangentField(diff * _velocity_scale(h.N, paper_literal))
 
 
-def step_powers(grid: np.ndarray, spec: MetricSpec, grad: bool = False,
+def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
                 kernels=(bv2_norm_and_partials, h2_sq_and_partials)):
     """T_i^p of every step i, and with grad the (N, n, 2) gradient of their
     sum (else None); T_i is the spec's norm of step i's velocity at slice i.
 
     The H2 norm takes its subgradient 0 at zero velocity.  kernels is the
-    (BV2, H2) pair of batched kernels from ``metrics``.
+    (BV2, H2) pair of batched kernels from ``metrics``.  They get the
+    homotopy's cached chords and the velocities as views of coordinate-major
+    arrays, and their partials are scattered coordinate-major into one final
+    (N, n, 2) array.
     """
-    scale = _velocity_scale(grid.shape[0], spec.paper_literal_velocity)
-    vels = (grid[1:] - grid[:-1]) * scale
+    x = h.grid.transpose(2, 0, 1)
+    scale = _velocity_scale(h.N, spec.paper_literal_velocity)
+    vels = np.subtract(x[:, 1:], x[:, :-1], out=np.empty((2, h.N - 1, h.n)))
+    vels *= scale
+    # the kernels take (S, n, 2) arrays: views of the coordinate-major ones
+    args = (h.grid[:-1], vels.transpose(1, 2, 0), spec.weights, spec.eps,
+            grad)
+    chords = h.chords[:, :-1].transpose(1, 2, 0)
     bv2, h2 = kernels
+    coef = None                            # d power / d (kernel value)
     if spec.family == BV2:
-        norm, dn, dv = bv2(grid[:-1], vels, spec.weights, spec.eps, grad)
-        power, coef = (norm, 1.0) if spec.exponent == 1 \
-            else (norm ** 2, 2.0 * norm)
-    else:
-        sq, dn, dv = h2(grid[:-1], vels, spec.weights, spec.eps, grad)
+        norm, dn, dv = bv2(*args, chords=chords)
+        power = norm
         if spec.exponent == 2:
-            power, coef = sq, 1.0
-        else:
-            power = np.sqrt(sq)
+            power, coef = norm ** 2, 2.0 * norm
+    else:
+        power, dn, dv = h2(*args, chords=chords)
+        if spec.exponent == 1:
+            power = np.sqrt(power)
             coef = np.divide(0.5, power, out=np.zeros_like(power),
                              where=power > 0.0)
     if not grad:
         return power, None
-    coef = np.asarray(coef)[..., None, None]
-    dv = scale * (coef * dv)
-    # step i adds +dv to slice i+1, then +dn and -dv to slice i
-    g = np.zeros_like(grid)
-    g[1:] = dv
-    g[:-1] += coef * dn
-    g[:-1] -= dv
-    return power, g
+    # the kernels' partials are their own fresh arrays: scaled in place
+    dn, dv = dn.transpose(2, 0, 1), dv.transpose(2, 0, 1)
+    if coef is not None:
+        dn *= coef[:, None]
+        dv *= coef[:, None]
+    dv *= scale
+    # step i adds +dv to slice i+1, then +dn and -dv to slice i; every
+    # slice's sum starts at 0.0, so slice 0 takes its +dn as 0.0 + dn
+    dn[:, 0] += 0.0
+    dn[:, 1:] += dv[:, :-1]
+    out = np.empty(h.grid.shape)
+    g = out.transpose(2, 0, 1)
+    np.subtract(dn, dv, out=g[:, :-1])
+    g[:, -1] = dv[:, -1]
+    return power, out
 
 
 def step_norms(h: Homotopy, spec: MetricSpec) -> np.ndarray:
     """Tangent norm of each step's velocity, measured at the step's slice."""
-    return step_powers(h.grid, replace(spec, exponent=1))[0]
+    return step_powers(h, replace(spec, exponent=1))[0]
 
 
 def path_energy(h: Homotopy, spec: MetricSpec) -> float:
     """Discrete path energy: mean over steps of the tangent norm^p."""
-    return float(np.mean(step_powers(h.grid, spec)[0]))
+    return float(np.mean(step_powers(h, spec)[0]))
 
 
 def make_translation_path(curve: PolyCurve, c, N: int) -> Homotopy:
@@ -221,7 +261,7 @@ def length_bound_check(h: Homotopy, spec: MetricSpec) -> PathDiagnostics:
     T = step_norms(h, spec)
     energy = float(np.mean(T ** 2))
     ell = float(np.mean(T))
-    lengths = np.array([length(h.slice_curve(i)) for i in range(h.N)])
+    lengths = np.sum(np.sqrt(sq_norm_cm(h.chords)), axis=1)
     lower = lengths[0] * np.exp(-ell)
     upper = lengths[0] * np.exp(ell)
     violations = (lengths < lower) | (lengths > upper)

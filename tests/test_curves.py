@@ -8,7 +8,7 @@ from bvgeo import (CurveError, DegenerateSegmentError, PolyCurve, TangentField,
                    constant_speed_resample, frenet_frames, length,
                    normalize_to_unit_square, signed_area, smoothed_norm,
                    validate_immersion)
-from bvgeo.curves import cyclic_shift, inner
+from bvgeo.curves import _point_at_arclength, cyclic_shift, inner
 from conftest import fourier_curve
 
 
@@ -215,6 +215,94 @@ class TestVectorHelpers:
             for shift in (1, -1):
                 assert (cyclic_shift(x, shift, axis).tobytes()
                         == np.roll(x, shift, axis).tobytes())
+
+
+def _resample_numpy_form(curve, m, rel_tol=1e-10, max_passes=200):
+    """constant_speed_resample as written with np.roll and np.linalg.norm."""
+    seg = curve.chord_lengths
+    total = float(np.sum(seg))
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    s = total * np.arange(m) / m
+    nodes = _point_at_arclength(curve, cum, s)
+    for _ in range(max_passes):
+        chords = np.linalg.norm(np.roll(nodes, -1, axis=0) - nodes, axis=1)
+        cmin = float(np.min(chords))
+        cmax = float(np.max(chords))
+        if cmin > 0.0 and cmax / cmin <= 1.0 + rel_tol:
+            break
+        prof = np.concatenate([[0.0], np.cumsum(chords)])
+        targets = prof[-1] * np.arange(m) / m
+        s = np.interp(targets, prof, np.concatenate([s, [total]]))
+        s[0] = 0.0
+        nodes = _point_at_arclength(curve, cum, s)
+    return nodes
+
+
+def _signed_area_numpy_form(curve):
+    x = curve.nodes[:, 0]
+    y = curve.nodes[:, 1]
+    return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+class TestNumpyFormsPinned:
+    """constant_speed_resample and signed_area reduce 2-vectors with inner
+    and shift with cyclic_shift; their outputs keep the numpy forms' bits."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 90),
+           st.integers(3, 130))
+    def test_bitwise_equal(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        curve = fourier_curve(rng, n, wobble=0.15)
+        if seed % 2:   # uneven node spacing, so several passes run
+            curve = PolyCurve(curve.nodes[np.sort(rng.choice(
+                n, size=max(3, n - n // 3), replace=False))])
+        assert (constant_speed_resample(curve, m).nodes.tobytes()
+                == _resample_numpy_form(curve, m).tobytes())
+        assert (np.float64(signed_area(curve)).tobytes()
+                == np.float64(_signed_area_numpy_form(curve)).tobytes())
+
+
+class TestCachedGeometry:
+    def test_degenerate_chord_raises_on_every_access(self):
+        c = PolyCurve([[0, 0], [1, 0], [1, 0], [0, 1]])
+        for _ in range(3):
+            with pytest.raises(DegenerateSegmentError) as info:
+                c.segments
+            assert info.value.index == 1
+        with pytest.raises(DegenerateSegmentError):
+            c.kernel_block
+        with pytest.raises(DegenerateSegmentError):
+            frenet_frames(c)
+
+    @pytest.mark.parametrize("n", [3, 17, 64])
+    def test_cached_equals_fresh_computation(self, rng, n):
+        c = fourier_curve(rng, n)
+        cached = (c.chords, c.chord_lengths, *c.segments, c.kernel_block,
+                  *c.kernel_moments)
+        nodes = c.nodes.copy()
+        following = np.roll(nodes, -1, axis=0)
+        chords = following - nodes
+        lens = np.linalg.norm(chords, axis=1)
+        tang = chords / lens[:, None]
+        normals = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+        mids = 0.5 * (nodes + following)
+        block = lens[:, None] * np.column_stack(
+            [np.ones(n), np.sum(normals * normals, axis=1), normals])
+        origin = np.mean(mids, axis=0)
+        centred = mids - origin
+        moments = np.hstack([block, block * centred[:, :1],
+                             block * centred[:, 1:]])
+        fresh = (chords, lens, mids, tang, normals, lens, block, origin,
+                 moments)
+        assert [x.tobytes() for x in cached] == [x.tobytes() for x in fresh]
+        # computed once: a second access returns the same read-only arrays
+        again = (c.chords, c.chord_lengths, *c.segments, c.kernel_block,
+                 *c.kernel_moments)
+        assert all(x is y for x, y in zip(cached, again))
+        for x in cached:
+            with pytest.raises(ValueError):
+                x[0] = 0.0
 
 
 class TestSignedArea:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +467,44 @@ class TestCli:
             == (tmp_path / "r2.homotopy.json").read_bytes()
         assert (tmp_path / "r1.svg").read_bytes() \
             == (tmp_path / "r2.svg").read_bytes()
+
+    def test_repeated_main_matches_fresh_processes(self, rng, tmp_path,
+                                                    capsys):
+        # main builds its parser once per process; consecutive calls that
+        # mix subcommands and flags must print and exit as fresh processes
+        src, tgt = self.pair(rng, tmp_path)
+        hp = tmp_path / "h.json"
+        save_homotopy(Homotopy(smooth_homotopy(rng, 4, 120)), hp)
+        argvs = [
+            ["energy", str(hp), "--paper-literal-velocity"],
+            ["energy", str(hp)],
+            ["match", "--source", src, "--target", tgt,
+             "--kernel", "0.3,0.04"],
+            ["energy", str(hp), "--target", tgt, "--metric", "h2"],
+            ["match", "--source", src, "--target", str(tmp_path / "no.json")],
+            ["energy", str(hp), "--weights", "1,1,1",
+             "--paper-literal-velocity"],
+            ["resample", "--source", src, "--out", str(tmp_path / "r.json"),
+             "--nodes", "40"],
+            ["match", "--source", src, "--target", tgt],
+            ["energy", str(hp), "--weights", "1,1,1"],
+        ]
+        in_process = []
+        for argv in argvs:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src")]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        fresh = [subprocess.run([sys.executable, "-m", "bvgeo.cli", *argv],
+                                capture_output=True, text=True, env=env,
+                                timeout=120)
+                 for argv in argvs]
+        assert in_process == [(p.returncode, p.stdout) for p in fresh]
+        assert {code for code, _ in in_process} == {0, 1}
+        # the flag changes the value, so a flag left over would show
+        assert in_process[0][1] != in_process[1][1]
+        assert in_process[2][1] != in_process[7][1]
 
     def test_energy_translation_path(self, tmp_path, capsys):
         # translation at unit speed across unit distance, squared-norm energy

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bvgeo import (MetricSpec, PolyCurve, TangentField, bv2_tangent_norm,
                    equivalence_constants, flat_bv2_norm, h2_tangent_norm_sq,
                    j0, j1, j2, length)
-from bvgeo.curves import CurveError
+from bvgeo.curves import CurveError, cyclic_shift, inner, smoothed_norm
+from bvgeo.metrics import bv2_norm_and_partials, h2_sq_and_partials
 from conftest import fourier_curve, smooth_field
 
 
@@ -240,3 +244,227 @@ class TestEquivalenceConstants:
             weighted = bv2_tangent_norm(curve, field, spec)
             assert ec.m * flat <= weighted + 1e-10
             assert weighted <= ec.M * flat + 1e-10
+
+
+def _flat_bv2_numpy_form(field, eps):
+    v = field.coeffs
+    n = field.n
+    a = np.roll(v, -1, axis=0) - v
+    l1 = float(np.sum(smoothed_norm(v, eps))) / n
+    w11 = float(np.sum(smoothed_norm(a, eps)))
+    deriv = n * a
+    tv2 = float(np.sum(smoothed_norm(np.roll(deriv, -1, axis=0) - deriv, eps)))
+    return l1 + w11 + tv2
+
+
+def _equivalence_numpy_form(curve):
+    speeds = curve.speeds
+    deriv = curve.n * curve.chords
+    jumps = float(np.sum(np.linalg.norm(
+        np.roll(deriv, -1, axis=0) - deriv, axis=1)))
+    bv = float(np.sum(speeds)) / curve.n + jumps
+    inf = float(np.min(speeds))
+    return max(float(np.max(speeds)), bv / inf ** 2), min(inf, 1.0 / bv)
+
+
+class TestNumpyFormsPinned:
+    """flat_bv2_norm and equivalence_constants shift with cyclic_shift and
+    reduce 2-vectors with inner; their outputs keep the numpy forms' bits."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 90),
+           st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_bitwise_equal(self, seed, n, eps):
+        rng = np.random.default_rng(seed)
+        curve = fourier_curve(rng, n, wobble=0.15)
+        field = smooth_field(rng, n, scale=rng.uniform(0.01, 10.0))
+        assert (np.float64(flat_bv2_norm(field, eps)).tobytes()
+                == np.float64(_flat_bv2_numpy_form(field, eps)).tobytes())
+        ec = equivalence_constants(curve)
+        assert (np.array([ec.M, ec.m]).tobytes()
+                == np.array(_equivalence_numpy_form(curve)).tobytes())
+
+# ---------------------------------------------------------------------------
+# The batched kernels as they were written on (S, n, 2) arrays, before they
+# moved to coordinate-major (2, S, n) arithmetic; kept verbatim as the oracle
+# that the coordinate-major kernels must match bit for bit
+# ---------------------------------------------------------------------------
+
+def _next(x: np.ndarray) -> np.ndarray:
+    return cyclic_shift(x, -1, 1)
+
+
+def _prev(x: np.ndarray) -> np.ndarray:
+    return cyclic_shift(x, 1, 1)
+
+
+def _adj_fwd(g: np.ndarray) -> np.ndarray:
+    """Adjoint of the forward difference: grad wrt x of sum_i <g_i, fwd(x)_i>."""
+    return _prev(g) - g
+
+
+def _bv2_reference(nodes: np.ndarray, coeffs: np.ndarray,
+                   weights, eps: float, grad: bool = True):
+    """Weighted BV2 norms w0*J0 + w1*J1 + w2*J2 of S fields on S curves.
+
+    Returns (values (S,), d/d nodes, d/d coeffs); the partials are None
+    unless grad.  They are 0/0 at eps = 0 wherever a difference vanishes.
+    """
+    n = nodes.shape[1]
+    mu = eps / n
+    w0, w1, w2 = weights
+    d = _next(nodes) - nodes
+    a = _next(coeffs) - coeffs
+    phi_d = smoothed_norm(d, mu)           # |d_i|_{eps/n}
+    value = np.zeros(nodes.shape[0])
+    g_nodes = np.zeros_like(nodes) if grad else None
+    g_coeffs = np.zeros_like(coeffs) if grad else None
+
+    if w0:
+        phi_v = smoothed_norm(coeffs, eps)
+        pair = phi_v + _next(phi_v)
+        value += w0 * 0.5 * np.sum(phi_d * pair, axis=1)
+        if grad:
+            # via d_i
+            P = 0.5 * pair[..., None] * d / phi_d[..., None]
+            g_nodes += w0 * _adj_fwd(P)
+            # via v_j: both adjacent segments contribute phi_d
+            coef = 0.5 * (_prev(phi_d) + phi_d)
+            g_coeffs += w0 * coef[..., None] * coeffs / phi_v[..., None]
+
+    if w1:
+        phi_a = smoothed_norm(a, mu)
+        value += w1 * np.sum(phi_a, axis=1)
+        if grad:
+            g_coeffs += w1 * _adj_fwd(a / phi_a[..., None])
+
+    if w2:
+        u = a / phi_d[..., None]
+        b = _next(u) - u
+        phi_b = smoothed_norm(b, eps)
+        value += w2 * np.sum(phi_b, axis=1)
+        if grad:
+            g = b / phi_b[..., None]          # d phi_b / d b
+            # wrt a_k: appears in b_{k-1} (+1/phi_d_k) and b_k (-1/phi_d_k)
+            R = (_prev(g) - g) / phi_d[..., None]
+            g_coeffs += w2 * _adj_fwd(R)
+            # wrt d_k through 1/phi_d_k
+            ga = inner(g - _prev(g), a)
+            S = ga[..., None] * d / (phi_d ** 3)[..., None]
+            g_nodes += w2 * _adj_fwd(S)
+
+    return value, g_nodes, g_coeffs
+
+
+def _h2_reference(nodes: np.ndarray, coeffs: np.ndarray,
+                  weights, eps: float, grad: bool = True):
+    """Weighted squared H2 norms of S fields on S curves, with partials as
+    in ``bv2_norm_and_partials``."""
+    n = nodes.shape[1]
+    mu = eps / n
+    w0, w1, w2 = weights
+    d = _next(nodes) - nodes
+    a = _next(coeffs) - coeffs
+    ell = smoothed_norm(d, mu)
+    if np.any(ell == 0.0):
+        raise ZeroDivisionError("zero-length segment in H2 norm")
+    mass = 0.5 * (_prev(ell) + ell)        # lumped node masses
+
+    value = np.zeros(nodes.shape[0])
+    g_coeffs = np.zeros_like(coeffs) if grad else None
+    # accumulated d/d ell_i, mapped to nodes once at the end
+    g_ell = np.zeros_like(ell)
+
+    if w0:
+        vsq = inner(coeffs, coeffs)
+        pair = 0.5 * (vsq + _next(vsq))
+        value += w0 * np.sum(ell * pair, axis=1)
+        if grad:
+            g_ell += w0 * pair
+            g_coeffs += w0 * 2.0 * mass[..., None] * coeffs
+
+    if w1:
+        asq = inner(a, a)
+        value += w1 * np.sum(asq / ell, axis=1)
+        if grad:
+            g_coeffs += w1 * _adj_fwd(2.0 * a / ell[..., None])
+            g_ell += -w1 * asq / ell ** 2
+
+    if w2:
+        u = a / ell[..., None]
+        jump = u - _prev(u)                # jump at node i: u_i - u_{i-1}
+        jsq = inner(jump, jump)
+        value += w2 * np.sum(jsq / mass, axis=1)
+        if grad:
+            # wrt u_k: in jump_k (+) and jump_{k+1} (-)
+            t = 2.0 * jump / mass[..., None]
+            W = t - _next(t)
+            g_coeffs += w2 * _adj_fwd(W / ell[..., None])
+            # wrt ell_k: through u_k = a_k/ell_k and masses m_k, m_{k+1}
+            dmass = -jsq / mass ** 2
+            g_ell += w2 * (-inner(W, a) / ell ** 2
+                           + 0.5 * (dmass + _next(dmass)))
+
+    if not grad:
+        return value, None, None
+    dl_dd = d / ell[..., None]             # d ell_i / d d_i
+    return value, _adj_fwd(g_ell[..., None] * dl_dd), g_coeffs
+
+
+_KERNELS = {"bv2": (bv2_norm_and_partials, _bv2_reference),
+            "h2": (h2_sq_and_partials, _h2_reference)}
+
+
+@st.composite
+def _kernel_cases(draw, grad):
+    """Stacked nodes and coefficients, weights with zeros and eps (0 only
+    without partials, where they are 0/0)."""
+    S, n = draw(st.integers(1, 4)), draw(st.integers(3, 10))
+    coords = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    nodes = draw(arrays(np.float64, (S, n, 2), elements=coords))
+    coeffs = draw(arrays(np.float64, (S, n, 2), elements=coords))
+    weights = draw(st.tuples(*[st.sampled_from([0.0, 0.37, 1.0])] * 3))
+    eps = draw(st.sampled_from(([] if grad else [0.0]) + [1e-3, 0.1, 1.0]))
+    return nodes, coeffs, weights, eps
+
+
+def _bits(x):
+    return None if x is None else np.ascontiguousarray(x).tobytes()
+
+
+class TestCoordinateMajorKernels:
+    """The kernels compute on coordinate-major views of their (S, n, 2)
+    arguments; values and both partials must be the oracle's bits, whether
+    the kernel forms the chords itself or is handed them."""
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("family", ["bv2", "h2"])
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_oracle(self, family, grad, data):
+        nodes, coeffs, weights, eps = data.draw(_kernel_cases(grad))
+        self.check(family, nodes, coeffs, weights, eps, grad)
+
+    @pytest.mark.parametrize("family", ["bv2", "h2"])
+    def test_triangle_with_every_weight(self, family, rng):
+        nodes = fourier_curve(rng, 3).nodes[None]
+        coeffs = smooth_field(rng, 3).coeffs[None]
+        for eps, grad in [(0.0, False), (0.1, True), (0.1, False)]:
+            self.check(family, nodes, coeffs, (1.0, 1.0, 1.0), eps, grad)
+
+    @staticmethod
+    def check(family, nodes, coeffs, weights, eps, grad):
+        kernel, reference = _KERNELS[family]
+        chords = np.roll(nodes, -1, axis=1) - nodes
+        with np.errstate(all="ignore"):
+            try:
+                want = reference(nodes, coeffs, weights, eps, grad)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    kernel(nodes, coeffs, weights, eps, grad)
+                return
+            got = [kernel(nodes, coeffs, weights, eps, grad),
+                   kernel(nodes, coeffs, weights, eps, grad, chords=chords)]
+        for out in got:
+            assert [_bits(x) for x in out] == [_bits(x) for x in want]
+            assert all(x is None or x.shape == nodes.shape for x in out[1:])

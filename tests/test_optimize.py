@@ -68,6 +68,25 @@ class TestObjective:
         assert match == pytest.approx(hook[0](h.slice_curve(h.N - 1)))
 
 
+class TestTargetGeometryCache:
+    def test_alternating_targets_match_fresh_copies(self, rng):
+        # each target keeps its own matching blocks, and the homotopy's
+        # cached last slice serves both targets
+        h = Homotopy(smooth_homotopy(rng, 4, 20))
+        targets = [fourier_curve(rng, 20),
+                   fourier_curve(rng, 27, center=(0.55, 0.45))]
+        spec = MetricSpec(BV2, (1.0, 1.0, 1.0), 1e-2, 2)
+        for tgt in targets + targets + targets[::-1]:
+            f = np.array(objective(h, tgt, spec, KP))
+            g = gradient(h, tgt, spec, KP)
+            fresh_h = Homotopy(h.grid.copy())
+            fresh_t = PolyCurve(tgt.nodes.copy())
+            assert f.tobytes() == np.array(
+                objective(fresh_h, fresh_t, spec, KP)).tobytes()
+            assert g.tobytes() == gradient(fresh_h, fresh_t, spec,
+                                           KP).tobytes()
+
+
 class TestGradient:
     def test_slice_zero_pinned(self, rng):
         h = Homotopy(smooth_homotopy(rng, 5, 16))

@@ -23,6 +23,24 @@ class TestHomotopy:
         assert h.validate_slices() == (2, 5)
 
 
+    def test_slice_curve_one_object_per_index(self, rng):
+        h = Homotopy(smooth_homotopy(rng, 4, 12))
+        assert h.slice_curve(3) is h.slice_curve(-1)
+        assert h.slice_curve(1) is not h.slice_curve(2)
+        assert h.slice_curve(2).nodes.tobytes() == h.grid[2].tobytes()
+        with pytest.raises(IndexError):
+            h.slice_curve(4)
+
+    def test_chords_are_one_rolled_difference(self, rng):
+        grid = smooth_homotopy(rng, 5, 9)
+        h = Homotopy(grid)
+        want = np.moveaxis(np.roll(grid, -1, axis=1) - grid, -1, 0)
+        assert h.chords.shape == (2, 5, 9)
+        assert h.chords.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert h.chords is h.chords
+        assert not h.chords.flags.writeable
+
+
 class TestVelocity:
     def test_static_homotopy(self, rng):
         c = fourier_curve(rng, 16)
