@@ -10,7 +10,8 @@ Everything a curve's geometry determines (chords, lengths, the segments'
 midpoints, unit tangents and normals, and the blocks the matching term
 multiplies kernel matrices by) is a cached property of the immutable
 ``PolyCurve``, computed on first use and then shared by every caller.  The
-cached arrays are read-only.
+cached arrays are read-only, and every access (also through
+``frenet_frames``) returns the same objects: copy one before writing to it.
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ def inner_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     of one coordinate."""
     out = x[0] * y[0] + 0.0
     out += x[1] * y[1]
-    return out
-
-
-def sq_norm_cm(x: np.ndarray) -> np.ndarray:
-    """inner_cm(x, x), bit for bit: a square is never -0, so the + 0.0
-    that keeps inner's signed zeros is a no-op here and is left out."""
-    out = x[0] * x[0]
-    out += x[1] * x[1]
     return out
 
 
@@ -128,7 +121,8 @@ class PolyCurve:
 
     @property
     def chords(self) -> np.ndarray:
-        """Forward differences: chords[i] = nodes[i+1] - nodes[i] (cyclic)."""
+        """Forward differences: chords[i] = nodes[i+1] - nodes[i] (cyclic).
+        Cached, shared and read-only, as is ``chord_lengths``."""
         return self._chord_data[1]
 
     @property
@@ -149,27 +143,19 @@ class PolyCurve:
         return (_frozen(0.5 * (self.nodes + following)), tangents,
                 _frozen(rot90(tangents)), lens)
 
+    # The matching term's target-side blocks, cached here and built (and
+    # laid out) by ``matching``, the one module that reads them.
     @cached_property
     def kernel_block(self) -> np.ndarray:
-        """The (n, 4) block B = [l, l|m|^2, l m] of segment lengths l and
-        unit normals m, by which ``matching`` multiplies kernel matrices
-        when this curve is the target."""
-        _, _, normals, lens = self.segments
-        return _frozen(lens[:, None] * np.column_stack(
-            [np.ones_like(lens), inner(normals, normals), normals]))
+        """``matching.target_block`` of this curve, read-only."""
+        from .matching import target_block
+        return _frozen(target_block(self))
 
     @cached_property
     def kernel_moments(self):
-        """(o, M): the mean o of the segment midpoints d and the (n, 12)
-        moments M = [B, B (d - o)_x, B (d - o)_y] of ``kernel_block`` B,
-        for the matching gradient's kernel-derivative products."""
-        mids = self.segments[0]
-        block = self.kernel_block
-        origin = np.mean(mids, axis=0)
-        centred = mids - origin
-        moments = np.hstack([block, block * centred[:, :1],
-                             block * centred[:, 1:]])
-        return _frozen(origin), _frozen(moments)
+        """``matching.target_moments`` of this curve, read-only."""
+        from .matching import target_moments
+        return tuple(_frozen(x) for x in target_moments(self))
 
     @property
     def speeds(self) -> np.ndarray:
@@ -260,7 +246,8 @@ def frenet_frames(curve: PolyCurve):
     """Per-segment unit tangents and normals.
 
     tangent_i = chord_i / |chord_i|, normal_i = rot90(tangent_i).
-    Raises DegenerateSegmentError on a zero-length chord.
+    Raises DegenerateSegmentError on a zero-length chord.  The arrays are
+    the curve's cached ``segments`` entries: shared and read-only.
     """
     _, tangents, normals, _ = curve.segments
     return tangents, normals

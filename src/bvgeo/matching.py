@@ -21,8 +21,9 @@ currents inner product is sum_k (l n_k)^T K (l m_k).  What remains of the
 O(n m) cost is forming K (two exponentials per segment pair); the products
 are BLAS calls on thin blocks.  The segment data of both curves and the
 target's blocks are cached properties of the curves (``PolyCurve.segments``,
-``kernel_block``, ``kernel_moments``), so a target's side is computed once
-per target object.
+and ``kernel_block`` and ``kernel_moments``, which ``target_block`` and
+``target_moments`` below build), so a target's side is computed once per
+target object.
 
 Note that this discretization (like its continuous form) is positive even
 for two identical curves: non-corresponding segment pairs contribute.  Nor
@@ -81,6 +82,28 @@ def _kernel_matrices(c, d, params: KernelParams, grad: bool = False):
         kprime += np.divide(e2, params.delta ** 2, out=dy)
     e1 += e2
     return (e1, kprime) if grad else e1
+
+
+def target_block(b: PolyCurve) -> np.ndarray:
+    """The (m, 4) block B = [l, l|m|^2, l m] of b's segment lengths l and
+    unit normals m, by which kernel matrices are multiplied when b is the
+    target; cached as ``b.kernel_block``."""
+    _, _, normals, lens = b.segments
+    return lens[:, None] * np.column_stack(
+        [np.ones_like(lens), inner(normals, normals), normals])
+
+
+def target_moments(b: PolyCurve):
+    """(o, M): the mean o of b's segment midpoints d and the (m, 12)
+    moments M = [B, B (d - o)_x, B (d - o)_y] of B = ``b.kernel_block``,
+    for the gradient's kernel-derivative products; cached as
+    ``b.kernel_moments``."""
+    mids = b.segments[0]
+    block = b.kernel_block
+    origin = np.mean(mids, axis=0)
+    centred = mids - origin
+    return origin, np.hstack([block, block * centred[:, :1],
+                              block * centred[:, 1:]])
 
 
 def _mismatch(prod, normals):

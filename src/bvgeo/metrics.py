@@ -19,10 +19,10 @@ The weighted H2 squared norm takes the L2 counterparts, l_i = |d_i|_{eps/n}:
 where the last term is the distributional second derivative (node jumps of
 the first derivative) divided by the lumped node mass.
 
-Each family has one batched kernel over S curves and fields stacked as
-(S, n, 2) arrays; one call covers every step of a path.  The kernels
-compute on coordinate-major (2, S, n) views of those arrays (see the note
-above them).  With ``grad`` a kernel adds the exact partials wrt nodes and
+Each family has one batched kernel over S curves, given by their chords d,
+and S fields, stacked as (S, n, 2) arrays; one call covers every step of a
+path.  The kernels compute on coordinate-major (2, S, n) views of those
+arrays (see the note above them).  With ``grad`` a kernel adds the exact partials wrt nodes and
 coefficients (checked against finite differences in the test suite);
 values alone are defined at eps = 0 and at zero velocity, where the BV2
 partials are 0/0.  j0, j1, j2 and the *_tangent_norm* functions are
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (PolyCurve, TangentField, check_sizes, cyclic_shift,
-                     inner, inner_cm, smoothed_norm, sq_norm_cm)
+                     inner, inner_cm, smoothed_norm)
 
 BV2 = "bv2"
 H2 = "h2"
@@ -96,82 +96,49 @@ class EquivalenceConstants:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels.  They take and return (S, n, 2) arrays, but compute on
-# their coordinate-major (2, S, n) views: a per-segment (S, n) scalar then
-# multiplies both coordinates as one broadcast over the leading axis, never
-# as a loop over a length-2 innermost axis.  The partials they return are
-# (S, n, 2) views of fresh coordinate-major arrays, which the caller owns;
-# a caller that holds its data coordinate-major (``paths.step_powers``)
-# passes views in too, so neither conversion copies.  The node axis is the
-# last one and cyclic.
+# Batched kernels.  Their geometry argument is the chords d of the S curves
+# (forward node differences); the partials they return are still wrt the
+# nodes, through the adjoint of the forward difference.  They take and
+# return (S, n, 2) arrays, but compute on their coordinate-major (2, S, n)
+# transposed views: a per-segment (S, n) scalar then multiplies both
+# coordinates as one broadcast over the leading axis, never as a loop over
+# a length-2 innermost axis.  The partials are (S, n, 2) views of fresh
+# coordinate-major arrays, which the caller owns; a caller that holds its
+# data coordinate-major (``paths.step_powers``) passes views in too, so
+# neither conversion copies.  The node axis is the last one and cyclic.
 # ---------------------------------------------------------------------------
-
-def _cm(x: np.ndarray) -> np.ndarray:
-    """(S, n, 2) -> its (2, S, n) coordinate-major view."""
-    return x.transpose(2, 0, 1)
-
-
-def _pts(x: np.ndarray) -> np.ndarray:
-    """(2, S, n) -> its (S, n, 2) view; the inverse of ``_cm``."""
-    return x.transpose(1, 2, 0)
-
-
-# cyclic_shift along the node axis, spelled out: its general axis handling
-# costs about a third of a shift of these arrays, and a gradient pass makes
-# some twenty shifts
-def _next(x: np.ndarray) -> np.ndarray:
-    return np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
-
-
-def _prev(x: np.ndarray) -> np.ndarray:
-    return np.concatenate((x[..., -1:], x[..., :-1]), axis=-1)
-
 
 def _adj_fwd(g: np.ndarray) -> np.ndarray:
     """Adjoint of the forward difference: grad wrt x of sum_i <g_i, fwd(x)_i>."""
-    out = _prev(g)
+    out = cyclic_shift(g, 1, -1)
     out -= g
     return out
 
 
-def _scaled(w: float, x: np.ndarray) -> np.ndarray:
-    """w * x, in place on the temporary x."""
-    x *= w
-    return x
-
-
 def _norm(x: np.ndarray, c: float) -> np.ndarray:
     """``smoothed_norm`` of coordinate-major vectors."""
-    out = sq_norm_cm(x)
+    out = inner_cm(x, x)
     out += c * c
     return np.sqrt(out, out=out)
 
 
-def _entry(nodes, coeffs, chords):
+def _entry(chords, coeffs):
     """Coordinate-major chords, field and field differences."""
-    v = _cm(coeffs)
-    if chords is None:
-        x = _cm(nodes)
-        d = _next(x)
-        d -= x
-    else:
-        d = _cm(chords)
-    a = _next(v)
+    v = coeffs.transpose(2, 0, 1)
+    a = cyclic_shift(v, -1, -1)
     a -= v
-    return d, v, a
+    return chords.transpose(2, 0, 1), v, a
 
 
-def bv2_norm_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
-                          weights, eps: float, grad: bool = True,
-                          chords: np.ndarray | None = None):
-    """Weighted BV2 norms w0*J0 + w1*J1 + w2*J2 of S fields on S curves.
+def bv2_norm_and_partials(chords: np.ndarray, coeffs: np.ndarray,
+                          weights, eps: float, grad: bool = True):
+    """Weighted BV2 norms w0*J0 + w1*J1 + w2*J2 of S fields on S curves,
+    given the curves' chords (their forward node differences).
 
     Returns (values (S,), d/d nodes, d/d coeffs); the partials are None
     unless grad.  They are 0/0 at eps = 0 wherever a difference vanishes.
-    chords, if given, are the curves' forward node differences, (S, n, 2),
-    and save recomputing them.
     """
-    d, v, a = _entry(nodes, coeffs, chords)
+    d, v, a = _entry(chords, coeffs)
     mu = eps / d.shape[-1]
     w0, w1, w2 = weights
     phi_d = _norm(d, mu)                   # |d_i|_{eps/n}
@@ -181,15 +148,15 @@ def bv2_norm_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
 
     if w0:
         phi_v = _norm(v, eps)
-        pair = phi_v + _next(phi_v)
+        pair = phi_v + cyclic_shift(phi_v, -1, -1)
         value += w0 * 0.5 * np.sum(phi_d * pair, axis=1)
         if grad:
             # via d_i
             P = 0.5 * pair * d
             P /= phi_d
-            g_nodes += _scaled(w0, _adj_fwd(P))
+            g_nodes += w0 * _adj_fwd(P)
             # via v_j: both adjacent segments contribute phi_d
-            coef = _prev(phi_d)
+            coef = cyclic_shift(phi_d, 1, -1)
             coef += phi_d
             coef *= 0.5
             coef *= w0
@@ -201,45 +168,44 @@ def bv2_norm_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
         phi_a = _norm(a, mu)
         value += w1 * np.sum(phi_a, axis=1)
         if grad:
-            g_coeffs += _scaled(w1, _adj_fwd(a / phi_a))
+            g_coeffs += w1 * _adj_fwd(a / phi_a)
 
     if w2:
         u = a / phi_d
-        b = _next(u)
+        b = cyclic_shift(u, -1, -1)
         b -= u
         phi_b = _norm(b, eps)
         value += w2 * np.sum(phi_b, axis=1)
         if grad:
             g = b
             g /= phi_b                     # d phi_b / d b
-            g_prev = _prev(g)
+            g_prev = cyclic_shift(g, 1, -1)
             # wrt a_k: appears in b_{k-1} (+1/phi_d_k) and b_k (-1/phi_d_k)
             R = g_prev - g
             R /= phi_d
-            g_coeffs += _scaled(w2, _adj_fwd(R))
+            g_coeffs += w2 * _adj_fwd(R)
             # wrt d_k through 1/phi_d_k
             ga = inner_cm(np.subtract(g, g_prev, out=g_prev), a)
             S = ga * d
             S /= phi_d ** 3
-            g_nodes += _scaled(w2, _adj_fwd(S))
+            g_nodes += w2 * _adj_fwd(S)
 
     if not grad:
         return value, None, None
-    return value, _pts(g_nodes), _pts(g_coeffs)
+    return value, g_nodes.transpose(1, 2, 0), g_coeffs.transpose(1, 2, 0)
 
 
-def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
-                       weights, eps: float, grad: bool = True,
-                       chords: np.ndarray | None = None):
-    """Weighted squared H2 norms of S fields on S curves, with partials and
-    chords as in ``bv2_norm_and_partials``."""
-    d, v, a = _entry(nodes, coeffs, chords)
+def h2_sq_and_partials(chords: np.ndarray, coeffs: np.ndarray,
+                       weights, eps: float, grad: bool = True):
+    """Weighted squared H2 norms of S fields on S curves, with arguments
+    and partials as in ``bv2_norm_and_partials``."""
+    d, v, a = _entry(chords, coeffs)
     mu = eps / d.shape[-1]
     w0, w1, w2 = weights
     ell = _norm(d, mu)
     if np.any(ell == 0.0):
         raise ZeroDivisionError("zero-length segment in H2 norm")
-    mass = _prev(ell)
+    mass = cyclic_shift(ell, 1, -1)
     mass += ell
     mass *= 0.5                            # lumped node masses
 
@@ -249,8 +215,8 @@ def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
     g_ell = np.zeros_like(ell)
 
     if w0:
-        vsq = sq_norm_cm(v)
-        pair = _next(vsq)
+        vsq = inner_cm(v, v)
+        pair = cyclic_shift(vsq, -1, -1)
         pair += vsq
         pair *= 0.5
         value += w0 * np.sum(ell * pair, axis=1)
@@ -259,53 +225,54 @@ def h2_sq_and_partials(nodes: np.ndarray, coeffs: np.ndarray,
             g_coeffs += w0 * 2.0 * mass * v
 
     if w1:
-        asq = sq_norm_cm(a)
+        asq = inner_cm(a, a)
         value += w1 * np.sum(asq / ell, axis=1)
         if grad:
             t = 2.0 * a
             t /= ell
-            g_coeffs += _scaled(w1, _adj_fwd(t))
+            g_coeffs += w1 * _adj_fwd(t)
             t = -w1 * asq
             t /= ell ** 2
             g_ell += t
 
     if w2:
         u = a / ell
-        jump = _prev(u)
+        jump = cyclic_shift(u, 1, -1)
         np.subtract(u, jump, out=jump)     # at node i: u_i - u_{i-1}
-        jsq = sq_norm_cm(jump)
+        jsq = inner_cm(jump, jump)
         value += w2 * np.sum(jsq / mass, axis=1)
         if grad:
             # wrt u_k: in jump_k (+) and jump_{k+1} (-)
             t = 2.0 * jump
             t /= mass
-            W = _next(t)
+            W = cyclic_shift(t, -1, -1)
             np.subtract(t, W, out=W)
             t = W / ell
-            g_coeffs += _scaled(w2, _adj_fwd(t))
+            g_coeffs += w2 * _adj_fwd(t)
             # wrt ell_k: through u_k = a_k/ell_k and masses m_k, m_{k+1}
             dmass = -jsq
             dmass /= mass ** 2
             t = -inner_cm(W, a)
             t /= ell ** 2
-            dm = _next(dmass)
+            dm = cyclic_shift(dmass, -1, -1)
             dm += dmass
             dm *= 0.5
             t += dm
-            g_ell += _scaled(w2, t)
+            g_ell += w2 * t
 
     if not grad:
         return value, None, None
     dl_dd = d / ell                        # d ell_i / d d_i
     dl_dd *= g_ell
-    return value, _pts(_adj_fwd(dl_dd)), _pts(g_coeffs)
+    return (value, _adj_fwd(dl_dd).transpose(1, 2, 0),
+            g_coeffs.transpose(1, 2, 0))
 
 
 def _value(kernel, curve: PolyCurve, field: TangentField, weights,
            eps: float) -> float:
     check_sizes(curve, field)
-    value, _, _ = kernel(curve.nodes[None], field.coeffs[None], weights, eps,
-                         grad=False)
+    value, _, _ = kernel(curve.chords[None], field.coeffs[None], weights,
+                         eps, grad=False)
     return float(value[0])
 
 

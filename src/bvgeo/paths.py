@@ -12,8 +12,9 @@ makes the discrete energy a consistent quadrature of the continuous one (the
 translation path then has its analytic energy value, independent of N).
 
 A ``Homotopy`` is immutable and computes its geometry once: the chords of
-every slice, coordinate-major and shared by the immersion test and the
-energy kernels, and one ``PolyCurve`` per slice index.
+every slice, coordinate-major and taken by the energy kernels, their
+lengths, shared by the immersion test and the length diagnostic, and one
+``PolyCurve`` per slice index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .curves import (PolyCurve, TangentField, cyclic_shift, first_slow_segment,
-                     sq_norm_cm)
+                     inner_cm)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 # unused here; perfbench/tracing.py wraps these two names on this module
 from .metrics import bv2_tangent_norm, h2_tangent_norm_sq  # noqa: F401
@@ -62,17 +63,28 @@ class Homotopy:
 
     @cached_property
     def chords(self) -> np.ndarray:
-        """Chords of every slice, (2, N, n) coordinate-major, read-only: the
-        one chord pass shared by the immersion test and the energy kernels."""
+        """Chords of every slice, (2, N, n) coordinate-major, read-only."""
         x = self.grid.transpose(2, 0, 1).copy()
         out = cyclic_shift(x, -1, -1)
         out -= x
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def chord_lengths(self) -> np.ndarray:
+        """(N, n) chord lengths of every slice, read-only."""
+        out = np.sqrt(inner_cm(self.chords, self.chords))
+        out.flags.writeable = False
+        return out
+
     def slice_curve(self, i: int) -> PolyCurve:
         """Slice i as a curve: the same object on every call with i, so
-        its cached segment geometry is computed once."""
+        its cached segment geometry is computed once.
+
+        The curve forms its own chords again rather than taking the
+        homotopy's: its midpoints need the shifted nodes, which the
+        homotopy does not hold, and the pass is O(n) on a curve that the
+        matching term meets with an O(n m) kernel matrix."""
         i = range(self.N)[i]
         curve = self._slices.get(i)
         if curve is None:
@@ -81,7 +93,7 @@ class Homotopy:
 
     def validate_slices(self, min_speed: float | None = None):
         """First (slice, segment) failing ``validate_immersion``, or None."""
-        return first_slow_segment(np.sqrt(sq_norm_cm(self.chords)), min_speed)
+        return first_slow_segment(self.chord_lengths, min_speed)
 
 
 @dataclass(frozen=True)
@@ -134,18 +146,17 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
     vels = np.subtract(x[:, 1:], x[:, :-1], out=np.empty((2, h.N - 1, h.n)))
     vels *= scale
     # the kernels take (S, n, 2) arrays: views of the coordinate-major ones
-    args = (h.grid[:-1], vels.transpose(1, 2, 0), spec.weights, spec.eps,
-            grad)
-    chords = h.chords[:, :-1].transpose(1, 2, 0)
+    args = (h.chords[:, :-1].transpose(1, 2, 0), vels.transpose(1, 2, 0),
+            spec.weights, spec.eps, grad)
     bv2, h2 = kernels
     coef = None                            # d power / d (kernel value)
     if spec.family == BV2:
-        norm, dn, dv = bv2(*args, chords=chords)
+        norm, dn, dv = bv2(*args)
         power = norm
         if spec.exponent == 2:
             power, coef = norm ** 2, 2.0 * norm
     else:
-        power, dn, dv = h2(*args, chords=chords)
+        power, dn, dv = h2(*args)
         if spec.exponent == 1:
             power = np.sqrt(power)
             coef = np.divide(0.5, power, out=np.zeros_like(power),
@@ -261,7 +272,7 @@ def length_bound_check(h: Homotopy, spec: MetricSpec) -> PathDiagnostics:
     T = step_norms(h, spec)
     energy = float(np.mean(T ** 2))
     ell = float(np.mean(T))
-    lengths = np.sum(np.sqrt(sq_norm_cm(h.chords)), axis=1)
+    lengths = np.sum(h.chord_lengths, axis=1)
     lower = lengths[0] * np.exp(-ell)
     upper = lengths[0] * np.exp(ell)
     violations = (lengths < lower) | (lengths > upper)

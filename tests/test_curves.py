@@ -296,11 +296,16 @@ class TestCachedGeometry:
         fresh = (chords, lens, mids, tang, normals, lens, block, origin,
                  moments)
         assert [x.tobytes() for x in cached] == [x.tobytes() for x in fresh]
-        # computed once: a second access returns the same read-only arrays
+        # computed once: a second access returns the same read-only arrays,
+        # and frenet_frames hands out the cached tangents and normals
         again = (c.chords, c.chord_lengths, *c.segments, c.kernel_block,
                  *c.kernel_moments)
         assert all(x is y for x, y in zip(cached, again))
-        for x in cached:
+        frames = frenet_frames(c)
+        assert frames[0] is cached[3] and frames[1] is cached[4]
+        assert ([x.tobytes() for x in frames]
+                == [tang.tobytes(), normals.tobytes()])
+        for x in (*cached, *frames):
             with pytest.raises(ValueError):
                 x[0] = 0.0
 

@@ -433,9 +433,9 @@ def _bits(x):
 
 
 class TestCoordinateMajorKernels:
-    """The kernels compute on coordinate-major views of their (S, n, 2)
-    arguments; values and both partials must be the oracle's bits, whether
-    the kernel forms the chords itself or is handed them."""
+    """The kernels take chords and compute on coordinate-major views of
+    their (S, n, 2) arguments; values and both partials must be the bits of
+    the oracle, which takes nodes."""
 
     @pytest.mark.parametrize("grad", [True, False])
     @pytest.mark.parametrize("family", ["bv2", "h2"])
@@ -461,10 +461,8 @@ class TestCoordinateMajorKernels:
                 want = reference(nodes, coeffs, weights, eps, grad)
             except ZeroDivisionError:
                 with pytest.raises(ZeroDivisionError):
-                    kernel(nodes, coeffs, weights, eps, grad)
+                    kernel(chords, coeffs, weights, eps, grad)
                 return
-            got = [kernel(nodes, coeffs, weights, eps, grad),
-                   kernel(nodes, coeffs, weights, eps, grad, chords=chords)]
-        for out in got:
-            assert [_bits(x) for x in out] == [_bits(x) for x in want]
-            assert all(x is None or x.shape == nodes.shape for x in out[1:])
+            got = kernel(chords, coeffs, weights, eps, grad)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        assert all(x is None or x.shape == nodes.shape for x in got[1:])

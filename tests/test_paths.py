@@ -39,6 +39,11 @@ class TestHomotopy:
         assert h.chords.tobytes() == np.ascontiguousarray(want).tobytes()
         assert h.chords is h.chords
         assert not h.chords.flags.writeable
+        # one length pass, the slice curves' own chord lengths bit for bit
+        assert h.chord_lengths is h.chord_lengths
+        assert not h.chord_lengths.flags.writeable
+        assert h.chord_lengths.tobytes() == np.stack(
+            [h.slice_curve(i).chord_lengths for i in range(5)]).tobytes()
 
 
 class TestVelocity:
