@@ -49,7 +49,8 @@ def rot90(v: np.ndarray) -> np.ndarray:
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x, y> over the last, length-2 axis: np.sum's (0 + x0 y0) + x1 y1,
     bit for bit, without the per-call cost of a reduction over that axis."""
-    out = x[..., 0] * y[..., 0] + 0.0
+    out = x[..., 0] * y[..., 0]
+    out += 0.0
     out += x[..., 1] * y[..., 1]
     return out
 
@@ -58,7 +59,8 @@ def inner_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``inner`` for coordinate-major arrays, whose leading axis is the
     length-2 one: the same bits, each product running over a whole block
     of one coordinate."""
-    out = x[0] * y[0] + 0.0
+    out = x[0] * y[0]
+    out += 0.0
     out += x[1] * y[1]
     return out
 
@@ -67,6 +69,10 @@ def cyclic_shift(x: np.ndarray, shift: int, axis: int) -> np.ndarray:
     """np.roll(x, shift, axis) as one concatenation of two slices, in at
     most half of np.roll's time on the arrays of the evaluation path."""
     k = -shift % x.shape[axis]
+    if axis == -1:
+        # the node axis of the kernels: an Ellipsis costs less per call
+        # than a tuple of slice(None) for the leading axes
+        return np.concatenate((x[..., k:], x[..., :k]), axis=-1)
     lead = (slice(None),) * (axis % x.ndim)
     return np.concatenate((x[lead + (slice(k, None),)],
                            x[lead + (slice(None, k),)]), axis=axis)
@@ -98,9 +104,14 @@ def _as_nodes(nodes) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyCurve:
-    """Closed piecewise-affine curve with n >= 3 nodes in the plane."""
+    """Closed piecewise-affine curve with n >= 3 nodes in the plane.
+
+    Equality and hashing are by identity: the cached geometry, and the
+    kernel slot that the matching term may leave on a curve, belong to one
+    object, and comparing node arrays elementwise has no truth value.
+    """
 
     nodes: np.ndarray
 
@@ -171,7 +182,7 @@ class PolyCurve:
                          + np.asarray(shift, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentField:
     """Piecewise-affine plane vector field on a curve's node grid.
 

@@ -25,6 +25,15 @@ and ``kernel_block`` and ``kernel_moments``, which ``target_block`` and
 ``target_moments`` below build), so a target's side is computed once per
 target object.
 
+Two facts serve the line search in ``optimize``.  H is a sum of
+non-negative terms, and ``match_slack`` bounds how far its computed value
+can fall below zero, so a trial whose path energy alone exceeds the Armijo
+threshold by that slack fails whatever H is.  And a trial that does reach H
+may keep the kernel's two exponentials and K B in one slot on its curve
+(``match_distance(..., keep=True)``); the gradient at the accepted trial
+pops the slot and forms K' from them in place, so an accepted iterate
+builds one kernel matrix, not two.
+
 Note that this discretization (like its continuous form) is positive even
 for two identical curves: non-corresponding segment pairs contribute.  Nor
 is H minimized at a == b: it scales with the length of a, so shrinking the
@@ -66,10 +75,10 @@ def kernel(v, w, params: KernelParams) -> float:
             + np.exp(-r2 / (2.0 * params.delta ** 2)))
 
 
-def _kernel_matrices(c, d, params: KernelParams, grad: bool = False):
-    """Segment-pair kernel K = e1 + e2 between midpoints c (n, 2) and d
-    (m, 2), from one r^2 array; with grad also K' = e1/s^2 + e2/d^2, so
-    that dK_ij/dc_i = -K'_ij (c_i - d_j)."""
+def _kernel_matrices(c, d, params: KernelParams):
+    """(K, e1, e2): the segment-pair kernel K = e1 + e2 between midpoints
+    c (n, 2) and d (m, 2) and its two Gaussian factors e1 = exp(-r^2/2s^2)
+    and e2 = exp(-r^2/2d^2), from one r^2 array; three (n, m) arrays."""
     r2 = np.subtract.outer(c[:, 0], d[:, 0])
     np.square(r2, out=r2)
     dy = np.subtract.outer(c[:, 1], d[:, 1])
@@ -77,11 +86,7 @@ def _kernel_matrices(c, d, params: KernelParams, grad: bool = False):
     e1 = r2 / (-2.0 * params.sigma ** 2)
     np.exp(e1, out=e1)
     e2 = np.exp(np.divide(r2, -2.0 * params.delta ** 2, out=r2), out=r2)
-    if grad:
-        kprime = e1 / params.sigma ** 2
-        kprime += np.divide(e2, params.delta ** 2, out=dy)
-    e1 += e2
-    return (e1, kprime) if grad else e1
+    return np.add(e1, e2, out=dy), e1, e2
 
 
 def target_block(b: PolyCurve) -> np.ndarray:
@@ -115,10 +120,50 @@ def _mismatch(prod, normals):
             + s[..., 1] - 2.0 * np.einsum("igk,ik->ig", s[..., 2:], normals))
 
 
-def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams) -> float:
-    """Midpoint-rule discretization of the normal-mismatch kernel integral."""
+def match_slack(n: int, m: int, length_a: float, length_b: float) -> float:
+    """How far below zero match_distance of an n-node curve a and an m-node
+    curve b can be computed, for total chord lengths L_a and L_b:
+    16 (n + m + 16) u L_a L_b with u = 2^-53.
+
+    Evaluated exactly on the computed K, l, n and m, H is the sum of
+    t_ij = l_i K_ij l_j |n_i - m_j|^2 >= 0, since K >= 0 and
+    |n - m|^2 = |n|^2 + |m|^2 - 2<n, m> holds for any vectors (which is why
+    |n|^2 is kept, not assumed 1).  The computed H sums the products
+    l_i K_ij l_j |n_i|^2, l_i K_ij l_j |m_j|^2 and -2 l_i K_ij l_j n_ik m_jk,
+    each through at most n + m + 16 roundings: B's entries, a length-m dot
+    product of K @ B in whatever order BLAS adds, ``_mismatch`` and the
+    length-n dot product with l.  Its error is then at most
+    gamma_k = k u / (1 - k u) <= 2 k u times the sum of the products'
+    absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), and with K_ij <= 2 and |n_i|, |m_j| <= 1 that sum is
+    at most 2 sum_ij l_i l_j (|n_i| + |m_j|)^2 <= 8 L_a L_b.  The factor 2
+    in gamma_k <= 2 k u leaves room for the rounding of |n|, |m|, L_a and
+    L_b themselves.  With a == b and kernel widths down to 1e-4 the computed
+    H does go below zero, by well under a hundredth of this slack.
+    """
+    return 16.0 * (n + m + 16) * 2.0 ** -53 * length_a * length_b
+
+
+# The attribute of a curve a in which match_distance(..., keep=True) leaves
+# (b, params, e1, e2, K @ B) for the next match_gradient(a, b, params).
+_KEPT = "_kept_kernel"
+
+
+def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams, *,
+                   keep: bool = False) -> float:
+    """Midpoint-rule discretization of the normal-mismatch kernel integral.
+
+    With keep, a holds the kernel's two exponentials and K @ B in one slot
+    until the next match_gradient of a pops it: that call then builds no
+    kernel matrix if its b is this b (the same object) with equal params.
+    """
     ca, _, na, la = a.segments
-    prod = _kernel_matrices(ca, b.segments[0], params) @ b.kernel_block
+    k, *exps = _kernel_matrices(ca, b.segments[0], params)
+    if not keep:
+        del exps    # so a plain evaluation peaks at its three arrays
+    prod = k @ b.kernel_block
+    if keep:
+        a.__dict__[_KEPT] = (b, params, *exps, prod)
     return float(la @ _mismatch(prod, na)[:, 0])
 
 
@@ -127,12 +172,21 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
     """Exact gradient of match_distance with respect to a's node coordinates.
 
     Chains through segment midpoints, chord lengths, and the Jacobian of
-    the normalized chord under the 90-degree rotation.
+    the normalized chord under the 90-degree rotation.  Takes the
+    exponentials and K @ B from a's slot when match_distance kept them for
+    this b and params, and empties the slot in any case.
     """
     ca, tang, na, la = a.segments
-    k, kprime = _kernel_matrices(ca, b.segments[0], params, grad=True)
+    kept = a.__dict__.pop(_KEPT, None)
+    if kept is not None and kept[0] is b and kept[1] == params:
+        e1, e2, prod = kept[2:]
+    else:
+        k, e1, e2 = _kernel_matrices(ca, b.segments[0], params)
+        prod = k @ b.kernel_block
+    # K' = e1/s^2 + e2/d^2, so that dK_ij/dc_i = -K'_ij (c_i - d_j)
+    kprime = np.divide(e1, params.sigma ** 2, out=e1)
+    kprime += np.divide(e2, params.delta ** 2, out=e2)
 
-    prod = k @ b.kernel_block
     # dH/dl_i
     alpha = _mismatch(prod, na)[:, 0]
     # dH/dn_i = 2 l_i sum_j k_ij l_j (n_i - m_j)
@@ -163,7 +217,7 @@ def currents_distance_sq(a: PolyCurve, b: PolyCurve,
     def dot(x, y):
         cx, _, nx, lx = x.segments
         cy, _, ny, ly = y.segments
-        k = _kernel_matrices(cx, cy, params)
+        k = _kernel_matrices(cx, cy, params)[0]
         return float(np.sum((lx[:, None] * nx) * (k @ (ly[:, None] * ny))))
 
     return dot(a, a) - 2.0 * dot(a, b) + dot(b, b)

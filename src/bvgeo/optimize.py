@@ -9,6 +9,9 @@ test suite rather than trusted on faith.
 Descent uses backtracking Armijo line search.  A step whose iterate fails
 the discrete immersion test on any slice is treated as a line-search
 rejection, which keeps all iterates inside the open set of immersed curves.
+A trial is evaluated immersion, then energy, then match, and stops at the
+first of them that rejects it (see ``objective``'s bound); the accepted
+trial's kernel matrix serves its gradient.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import PolyCurve, inner
-from .matching import KernelParams, match_distance, match_gradient
+from .curves import PolyCurve, inner, length
+from .matching import (KernelParams, match_distance, match_gradient,
+                       match_slack)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 from .paths import Homotopy, step_powers
 
@@ -112,13 +116,28 @@ def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
 
 
 def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-              params: KernelParams, match_term=None):
-    """Total objective with its two parts: (total, energy_part, match_part)."""
+              params: KernelParams, match_term=None, *, bound=None):
+    """Total objective with its two parts: (total, energy_part, match_part).
+
+    With ``bound`` (a line search's Armijo threshold) and the built-in
+    endpoint H, a trial whose energy exceeds bound by more than
+    ``match_slack`` gives (inf, energy, nan) without touching the last
+    slice: the computed H is at least -slack, so, rounding being monotone,
+    energy + H would exceed bound too.  Otherwise the last slice keeps its
+    kernel for the gradient that follows if the trial is accepted.
+    """
     powers, _ = _step_powers(h, spec, grad=False)
     energy = float(np.sum(powers)) / (h.N - 1)
-    last = h.slice_curve(h.N - 1)
-    match = float(match_term[0](last) if match_term
-                  else match_distance(last, target, params))
+    if match_term:
+        match = float(match_term[0](h.slice_curve(h.N - 1)))
+        return energy + match, energy, match
+    if bound is not None:
+        slack = match_slack(h.n, target.n, float(np.sum(h.chord_lengths[-1])),
+                            length(target))
+        if energy - slack > bound:
+            return np.inf, energy, np.nan
+    match = match_distance(h.slice_curve(h.N - 1), target, params,
+                           keep=bound is not None)
     return energy + match, energy, match
 
 
@@ -132,11 +151,14 @@ def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     if spec.family == BV2 and spec.eps == 0.0:
         raise ValueError("BV2 gradient requires eps > 0 (objective is "
                          "nonsmooth at eps = 0)")
+    # the match term first: it frees the kernel its trial kept before the
+    # energy partials allocate theirs
+    last = h.slice_curve(h.N - 1)
+    match_grad = match_term[1](last) if match_term \
+        else match_gradient(last, target, params)
     _, grad = _step_powers(h, spec, grad=True)
     grad /= (h.N - 1)
-    last = h.slice_curve(h.N - 1)
-    grad[-1] += match_term[1](last) if match_term \
-        else match_gradient(last, target, params)
+    grad[-1] += match_grad
     grad[0] = 0.0
     return grad
 
@@ -171,9 +193,10 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
             if cand.validate_slices() is not None:
                 t *= cfg.shrink
                 continue
+            threshold = f - cfg.armijo * t * gsq
             f_new, e_new, m_new = objective(cand, target, spec, params,
-                                            match_term)
-            if f_new <= f - cfg.armijo * t * gsq:
+                                            match_term, bound=threshold)
+            if f_new <= threshold:
                 accepted = True
                 break
             t *= cfg.shrink

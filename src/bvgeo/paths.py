@@ -31,7 +31,7 @@ from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 from .metrics import bv2_tangent_norm, h2_tangent_norm_sq  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Homotopy:
     """N x n grid of plane points; slice i is the curve at time i/(N-1)."""
 

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bvgeo import (CurveError, DegenerateSegmentError, PolyCurve, TangentField,
-                   constant_speed_resample, frenet_frames, length,
+from bvgeo import (CurveError, DegenerateSegmentError, Homotopy, PolyCurve,
+                   TangentField, constant_speed_resample, frenet_frames, length,
                    normalize_to_unit_square, signed_area, smoothed_norm,
                    validate_immersion)
 from bvgeo.curves import _point_at_arclength, cyclic_shift, inner
@@ -24,6 +24,19 @@ class TestPolyCurve:
     def test_nodes_immutable(self, unit_square):
         with pytest.raises(ValueError):
             unit_square.nodes[0, 0] = 5.0
+
+    def test_equality_is_identity(self):
+        # two curves (fields, homotopies) with equal nodes are different
+        # objects, each with its own cached geometry: ==, in and hash
+        # compare identity and never compare the arrays
+        tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        for make in (PolyCurve, TangentField,
+                     lambda x: Homotopy(np.stack([x, x]))):
+            a, b = make(tri), make(tri)
+            assert a == a and a != b
+            assert a in [b, a] and a not in [b]
+            assert hash(a) == hash(a)
+            assert len({a, b, a}) == 2
 
     def test_field_size_mismatch(self, unit_square):
         from bvgeo.curves import check_sizes
@@ -215,6 +228,18 @@ class TestVectorHelpers:
             for shift in (1, -1):
                 assert (cyclic_shift(x, shift, axis).tobytes()
                         == np.roll(x, shift, axis).tobytes())
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (3, 5, 2), (4, 7)])
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_cyclic_shift_matches_roll(shape, axis):
+    # the node axis -1 takes its own indexing path; both paths against
+    # np.roll, with shifts past the axis length and -0.0 entries
+    x = np.arange(np.prod(shape), dtype=float).reshape(shape) - 3.0
+    x[x == 0.0] = -0.0
+    for shift in range(-9, 10):
+        assert (cyclic_shift(x, shift, axis).tobytes()
+                == np.roll(x, shift, axis).tobytes())
 
 
 def _resample_numpy_form(curve, m, rel_tol=1e-10, max_passes=200):

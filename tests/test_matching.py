@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvgeo import (KernelParams, PolyCurve, constant_speed_resample,
                    currents_distance_sq, kernel, length, match_distance,
                    match_gradient)
+from bvgeo import matching
+from bvgeo.matching import _KEPT, match_slack
 from conftest import fourier_curve
 
 KP = KernelParams(sigma=0.5, delta=0.05)
@@ -86,6 +90,88 @@ class TestMatchDistance:
         a = fourier_curve(rng, 24)
         b = fourier_curve(rng, 24)
         assert match_distance(a, b, KP) <= 8 * length(a) * length(b)
+
+
+class TestMatchSlack:
+    """H is a sum of non-negative terms; its computed value may fall below
+    zero by rounding, but never by more than match_slack, which the line
+    search relies on to reject a trial on its energy alone."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 160),
+           m=st.integers(3, 160), same=st.booleans(),
+           log_widths=st.tuples(st.floats(-4, 0), st.floats(-4, 0)),
+           radius=st.floats(0.01, 3.0))
+    def test_computed_value_above_minus_slack(self, seed, n, m, same,
+                                              log_widths, radius):
+        rng = np.random.default_rng(seed)
+        a = fourier_curve(rng, n, radius=radius, wobble=0.2 * radius)
+        b = a if same else fourier_curve(rng, m, radius=radius,
+                                         wobble=0.2 * radius,
+                                         center=(0.55, 0.45))
+        kp = KernelParams(*(10.0 ** w for w in log_widths))
+        slack = match_slack(a.n, b.n, length(a), length(b))
+        assert match_distance(a, b, kp) >= -slack
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-3])
+    def test_equal_curves_small_widths(self, rng, width):
+        # the case where the computed H does go negative
+        for n in (8, 64, 256):
+            a = fourier_curve(rng, n)
+            kp = KernelParams(width, width)
+            assert match_distance(a, a, kp) >= -match_slack(
+                n, n, length(a), length(a))
+
+
+class TestKeptKernel:
+    """match_distance(..., keep=True) leaves its exponentials and K @ B on
+    the curve for one match_gradient; the results stay bitwise those of a
+    fresh computation."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts kernel-matrix builds."""
+        calls = []
+        build = matching._kernel_matrices
+
+        def counted(*args):
+            calls.append(None)
+            return build(*args)
+
+        monkeypatch.setattr(matching, "_kernel_matrices", counted)
+        return calls
+
+    def test_kept_gradient_bitwise_fresh(self, rng, builds):
+        for n, m in [(3, 17), (40, 40), (129, 64)]:
+            a = fourier_curve(rng, n)
+            b = fourier_curve(rng, m, center=(0.55, 0.45))
+            value = match_distance(a, b, KP, keep=True)
+            assert _KEPT in vars(a)
+            fresh_a = PolyCurve(a.nodes.copy())
+            assert value == match_distance(fresh_a, b, KP)
+            assert _KEPT not in vars(fresh_a)
+            del builds[:]
+            g = match_gradient(a, b, KP)
+            assert not builds and _KEPT not in vars(a)
+            assert g.tobytes() == match_gradient(fresh_a, b, KP).tobytes()
+            # the slot was consumed: a second call builds its own kernel
+            assert g.tobytes() == match_gradient(a, b, KP).tobytes()
+            assert len(builds) == 2
+
+    @pytest.mark.parametrize("other", ["target", "equal target", "params"])
+    def test_slot_keyed_by_target_object_and_params(self, rng, builds,
+                                                    other):
+        a = fourier_curve(rng, 30)
+        b = fourier_curve(rng, 25, center=(0.55, 0.45))
+        target = {"target": fourier_curve(rng, 25),
+                  "equal target": PolyCurve(b.nodes.copy()),
+                  "params": b}[other]
+        want = match_gradient(PolyCurve(a.nodes.copy()), target, KP)
+        match_distance(a, b, KernelParams(0.3, 0.02) if other == "params"
+                       else KP, keep=True)
+        del builds[:]
+        assert match_gradient(a, target, KP).tobytes() == want.tobytes()
+        assert len(builds) == 1 and _KEPT not in vars(a)
 
 
 class TestMatchGradient:

@@ -8,6 +8,8 @@ from bvgeo import (BV2, H2, Homotopy, KernelParams, LineSearchError,
                    continuation, descend, fd_check, gradient, init_constant,
                    init_linear, match_distance, objective, path_energy,
                    step_norms)
+from bvgeo import optimize
+from bvgeo.matching import _KEPT
 from bvgeo.optimize import TRACE_COLUMNS
 from conftest import fourier_curve, smooth_homotopy
 
@@ -253,6 +255,132 @@ class TestDescend:
         r2 = descend(h0, tgt, BV_SPEC, KP, cfg)
         assert np.array_equal(r1.homotopy.grid, r2.homotopy.grid)
         assert r1.objective_trace == r2.objective_trace
+
+
+def _report_bits(rep):
+    """Everything a run reports, as bytes and plain values."""
+    return ([np.array(rep.columns[name]).tobytes() for name in TRACE_COLUMNS],
+            rep.homotopy.grid.tobytes(), rep.iters_per_stage,
+            rep.termination, repr(rep.stage_objectives))
+
+
+def _holds_slot(h):
+    return any(_KEPT in vars(h.slice_curve(i)) for i in range(h.N))
+
+
+class TestBoundedTrials:
+    """descend hands each Armijo trial its threshold as objective's bound:
+    a trial may be rejected on its energy alone, and an accepted trial's
+    kernel serves the gradient that follows.  Neither may change a
+    decision or a bit of the result."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """Wraps optimize.objective and match_gradient: counts trials,
+        trials rejected before the match, and gradients that found the
+        kernel kept."""
+        counts = dict.fromkeys(["trials", "energy_rejects", "gradients",
+                                "kept"], 0)
+        objective_, match_gradient_ = optimize.objective, \
+            optimize.match_gradient
+
+        def objective(*args, bound=None, **kwargs):
+            out = objective_(*args, bound=bound, **kwargs)
+            if bound is not None:
+                counts["trials"] += 1
+                counts["energy_rejects"] += out[0] == np.inf
+            return out
+
+        def match_gradient(a, b, params):
+            counts["gradients"] += 1
+            counts["kept"] += _KEPT in vars(a)
+            return match_gradient_(a, b, params)
+
+        monkeypatch.setattr(optimize, "objective", objective)
+        monkeypatch.setattr(optimize, "match_gradient", match_gradient)
+        return counts
+
+    @staticmethod
+    def _ignore_bound(monkeypatch):
+        # every trial evaluated in full, as descend did before the bound
+        full = optimize.objective
+
+        def objective(*args, bound=None, **kwargs):
+            return full(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "objective", objective)
+
+    @pytest.mark.parametrize("init", ["constant", "linear"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("family", [BV2, H2])
+    def test_same_result_as_full_evaluation(self, rng, monkeypatch, record,
+                                            family, p, init):
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        h0 = init_constant(src, 5) if init == "constant" \
+            else init_linear(src, tgt, 5)
+        spec = replace(BV_SPEC, family=family, exponent=p)
+        cfg = OptimConfig(max_iters=15)
+        bounded = [descend(h0, tgt, spec, KP, cfg),
+                   continuation(h0, tgt, spec, KP, cfg)]
+        counts = dict(record)
+        self._ignore_bound(monkeypatch)
+        full = [descend(h0, tgt, spec, KP, cfg),
+                continuation(h0, tgt, spec, KP, cfg)]
+        for a, b in zip(bounded, full):
+            assert _report_bits(a) == _report_bits(b)
+            assert not _holds_slot(a.homotopy)
+        assert counts["energy_rejects"] > 0
+        if (family, p, init) == (H2, 1, "constant"):
+            # the stall pair of test_unchanged_grid_stalls
+            assert bounded[1].termination == "stalled"
+            assert counts["kept"] == 0
+        else:
+            # every accepted iterate's gradient found its kernel kept
+            iters = sum(bounded[0].iters_per_stage) \
+                + sum(bounded[1].iters_per_stage)
+            assert counts["kept"] == iters > 0
+
+    def test_accepted_gradient_bitwise_fresh(self, rng, monkeypatch):
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        gradient_ = optimize.gradient
+        kept = []
+
+        def gradient(h, *args):
+            kept.append(_holds_slot(h))
+            g = gradient_(h, *args)
+            assert g.tobytes() == gradient_(Homotopy(h.grid.copy()),
+                                            *args).tobytes()
+            return g
+
+        monkeypatch.setattr(optimize, "gradient", gradient)
+        rep = continuation(init_constant(src, 5), tgt, BV_SPEC, KP,
+                           OptimConfig(max_iters=10))
+        # the stage starts evaluate without a bound and keep nothing
+        assert kept == ([False] + [True] * 10) * 3
+        assert not _holds_slot(rep.homotopy)
+
+    def test_unbounded_objective_keeps_nothing(self, rng):
+        h = Homotopy(smooth_homotopy(rng, 5, 20))
+        tgt = fourier_curve(rng, 20)
+        plain = objective(h, tgt, BV_SPEC, KP)
+        assert not _holds_slot(h)
+        # a bound that admits the trial keeps its kernel on the last slice
+        assert objective(h, tgt, BV_SPEC, KP, bound=np.inf) == plain
+        assert _KEPT in vars(h.slice_curve(h.N - 1))
+        gradient(h, tgt, BV_SPEC, KP)
+        assert not _holds_slot(h)
+
+    def test_energy_rejection_leaves_last_slice_alone(self, rng):
+        h = Homotopy(smooth_homotopy(rng, 5, 20))
+        tgt = fourier_curve(rng, 20)
+        total, energy, _ = objective(h, tgt, BV_SPEC, KP)
+        trial = Homotopy(h.grid)
+        out = objective(trial, tgt, BV_SPEC, KP, bound=0.5 * energy)
+        assert out[0] == np.inf and out[1] == energy and np.isnan(out[2])
+        # no slice curve was made, so no segment data or kernel either
+        assert not trial._slices
+        # at a bound the full value meets, the trial is evaluated in full
+        assert objective(h, tgt, BV_SPEC, KP, bound=total)[0] == total
 
 
 class TestContinuation:
