@@ -127,7 +127,8 @@ def save_homotopy(h: Homotopy, path) -> None:
     doc = {
         "N": h.N,
         "n": h.n,
-        "slices": [[[float(x), float(y)] for x, y in sl] for sl in h.grid],
+        # tolist gives Python floats: the same repr, in one C pass
+        "slices": h.grid.tolist(),
     }
     Path(path).write_text(json.dumps(doc) + "\n")
 

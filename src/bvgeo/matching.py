@@ -25,11 +25,16 @@ and ``kernel_block`` and ``kernel_moments``, which ``target_block`` and
 ``target_moments`` below build), so a target's side is computed once per
 target object.
 
-Two facts serve the line search in ``optimize``.  H is a sum of
+Three facts serve the line search in ``optimize``.  H is a sum of
 non-negative terms, and ``match_slack`` bounds how far its computed value
 can fall below zero, so a trial whose path energy alone exceeds the Armijo
-threshold by that slack fails whatever H is.  And a trial that does reach H
-may keep the kernel's two exponentials and K B in one slot on its curve
+threshold by that slack fails whatever H is.  H is also Lipschitz in the
+nodes, so ``match_floor`` bounds the computed H of a trial from below by
+the iterate's H less what the trial's node displacement can change it
+by, from K l (column 0 of K B) that the iterate's gradient left on its
+curve: a trial whose energy plus that floor exceeds the threshold fails
+without its kernel matrix.  And a trial that does reach H may keep the
+kernel's two exponentials and K B in one slot on its curve
 (``match_distance(..., keep=True)``); the gradient at the accepted trial
 pops the slot and forms K' from them in place, so an accepted iterate
 builds one kernel matrix, not two.
@@ -47,11 +52,12 @@ bridge to the currents-metric formulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, cyclic_shift, inner, rot90
+from .curves import PolyCurve, cyclic_shift, inner, length, rot90
 
 
 @dataclass(frozen=True)
@@ -144,9 +150,102 @@ def match_slack(n: int, m: int, length_a: float, length_b: float) -> float:
     return 16.0 * (n + m + 16) * 2.0 ** -53 * length_a * length_b
 
 
+def kernel_lipschitz(params: KernelParams) -> float:
+    """Lipschitz constant (1/s + 1/d) / sqrt(e) of the kernel in either
+    argument: |d/dr exp(-r^2/2w^2)| = r exp(-r^2/2w^2) / w^2 peaks at r = w."""
+    return (1.0 / params.sigma + 1.0 / params.delta) * math.exp(-0.5)
+
+
 # The attribute of a curve a in which match_distance(..., keep=True) leaves
 # (b, params, e1, e2, K @ B) for the next match_gradient(a, b, params).
 _KEPT = "_kept_kernel"
+
+# The attribute of a curve a in which match_gradient(a, b, params) leaves
+# (b, params, H_0, L_a, q, c, w), match_floor's constants for trials about
+# a: H_0 = H(a) as match_distance computes it, s(x) = q L_x, c = 2 Lip_K L_b
+# and w = 4 K l_b plus its rounding allowance, c and w scaled by _DROP_SCALE.
+_REFERENCE = "_match_reference"
+
+# Room for the rounding of match_floor's drop bound, whose relative error
+# is below (n + m + 32) u: far below 1e-6 for any n and m a curve can have.
+_DROP_SCALE = 1.0 + 1e-6
+
+
+def _reference(a: PolyCurve, b: PolyCurve, params: KernelParams,
+               value: float, kl: np.ndarray):
+    """match_floor's constants about a, from its computed H and K l_b."""
+    lip = kernel_lipschitz(params)
+    lb = length(b)
+    spread = 1.0 + lip * (float(np.abs(a.nodes).max())
+                          + float(np.abs(b.nodes).max()))
+    weights = kl * (4.0 * _DROP_SCALE)
+    # 4 times K l_b's rounding allowance
+    weights += _DROP_SCALE * 16.0 * (b.n + 16) * spread * 2.0 ** -53 * lb
+    return (b, params, value, length(a),
+            2.0 * spread * match_slack(a.n, b.n, 1.0, lb),
+            _DROP_SCALE * 2.0 * lip * lb, weights)
+
+
+def match_floor(a: PolyCurve, b: PolyCurve, params: KernelParams,
+                nodes: np.ndarray, lengths: np.ndarray, total: float) -> float:
+    """A lower bound on the computed match_distance(a2, b, params) of the
+    curve a2 with these nodes, chord lengths and their sum total, made from
+    the constants that match_gradient(a, b, params) left on a; -inf when a
+    holds none for this b (the same object) and equal params.
+
+    The bound is H_0 - Delta - s(a) - s(a2).  Write H* for H evaluated
+    exactly on the nodes, l and l2 for the chord lengths of a and a2,
+    L_b for b's length, and phi_ij = l_i |n_i - m_j|^2, so that
+    H* = sum_ij phi_ij K_ij l_bj.  As a function of chord_i,
+    phi_ij = (1 + |m_j|^2) |chord_i| - 2 <rot90(chord_i), m_j> is
+    (1 + |m_j|)^2 = 4-Lipschitz and at most 4 l_i, and K_ij is
+    Lip_K-Lipschitz in the midpoint c_i (``kernel_lipschitz``).  The node
+    displacement delta = a2 - a moves chord_i by at most
+    D_i = |delta_i| + |delta_{i+1}| and c_i by at most D_i / 2, so with
+    phi2 K2 - phi K = (phi2 - phi) K + phi2 (K2 - K),
+
+        H*(a2) >= H*(a) - Delta,
+        Delta = sum_i D_i (4 (K l_b)_i + 2 Lip_K L_b l2_i).
+
+    The computed H of a curve x lies within
+    s(x) = 2 (1 + Lip_K (R_a + R_b)) match_slack(n, m, L_x, L_b) of H*,
+    with R_a and R_b the largest absolute node coordinates of a and b.
+    ``match_slack`` covers the summation on the computed K, l, n and m.
+    The inputs' own rounding moves each term l_i K_ij l_bj |n_i - m_j|^2
+    by at most l_i l_bj u (256 + 8 Lip_K (R_a + R_b)): l has relative error
+    at most 3u (the chord's subtraction, two squares, a sum and a root);
+    n and m lie within 5u of unit vectors, so |n - m|^2 is within 40u; the
+    computed r^2 has relative error 4u and the exponent 8u, which moves
+    exp(-x) by at most 8u x exp(-x) <= 3u, and numpy's exp errs by at most
+    4 ulps (8u relative), so K is within 32u of k at the computed
+    midpoints; those lie within u |c| of the exact ones, which moves k by
+    at most Lip_K u (|c| + |d|) <= sqrt(2) Lip_K u (R_a + R_b).  With
+    n + m >= 6,
+    match_slack >= 352 u L_x L_b covers the 256 and the final subtraction
+    here; the factor 1 + Lip_K (R_a + R_b) covers the rest.  For a2,
+    |c2_i| <= |c_i| + D_i / 2, and that excess moves its terms by at most
+    2u Lip_K L_b l2_i D_i in all, a u-fraction of Delta.  The computed
+    K l_b is within 4 (m + 16) (1 + Lip_K (R_a + R_b)) u L_b of its exact
+    value (the same inputs, plus m roundings of the product), which is
+    added to it.  Delta's own rounding and these u-fractions are covered
+    by scaling it by 1 + 1e-6.
+
+    So computed H(a2) >= H*(a2) - s(a2) >= H*(a) - Delta - s(a2)
+    >= H_0 - s(a) - Delta - s(a2).  A caller rejecting a trial iff
+    fl(E + floor) > bound makes the argument of ``match_slack``'s caller:
+    rounding being monotone, fl(E + H(a2)) > bound too.
+    """
+    ref = a.__dict__.get(_REFERENCE)
+    if ref is None or ref[0] is not b or ref[1] != params:
+        return -np.inf
+    value, length_a, per_length, scale, weights = ref[2:]
+    delta = nodes - a.nodes
+    d = np.hypot(delta[:, 0], delta[:, 1])
+    d += cyclic_shift(d, -1, 0)                       # D_i
+    per_node = lengths * scale
+    per_node += weights
+    drop = float(d @ per_node)
+    return value - drop - per_length * (length_a + total)
 
 
 def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams, *,
@@ -174,7 +273,8 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
     Chains through segment midpoints, chord lengths, and the Jacobian of
     the normalized chord under the 90-degree rotation.  Takes the
     exponentials and K @ B from a's slot when match_distance kept them for
-    this b and params, and empties the slot in any case.
+    this b and params, and empties the slot in any case.  Leaves on a the
+    constants of ``match_floor`` for trials about a.
     """
     ca, tang, na, la = a.segments
     kept = a.__dict__.pop(_KEPT, None)
@@ -189,6 +289,9 @@ def match_gradient(a: PolyCurve, b: PolyCurve,
 
     # dH/dl_i
     alpha = _mismatch(prod, na)[:, 0]
+    # H at a, as match_distance computes it, and K l_b, for match_floor
+    a.__dict__[_REFERENCE] = _reference(a, b, params, float(la @ alpha),
+                                        prod[:, 0])
     # dH/dn_i = 2 l_i sum_j k_ij l_j (n_i - m_j)
     g = 2.0 * la[:, None] * (prod[:, :1] * na - prod[:, 2:])
     # dH/dc_i (kernel factor), already including l_i: the sums over j of

@@ -9,9 +9,10 @@ test suite rather than trusted on faith.
 Descent uses backtracking Armijo line search.  A step whose iterate fails
 the discrete immersion test on any slice is treated as a line-search
 rejection, which keeps all iterates inside the open set of immersed curves.
-A trial is evaluated immersion, then energy, then match, and stops at the
-first of them that rejects it (see ``objective``'s bound); the accepted
-trial's kernel matrix serves its gradient.
+A trial is evaluated immersion, then energy, then a lower bound on its
+match term, then match, and stops at the first of them that rejects it
+(see ``objective``'s bound); the accepted trial's kernel matrix serves its
+gradient.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import PolyCurve, inner, length
-from .matching import (KernelParams, match_distance, match_gradient,
-                       match_slack)
+from .matching import (KernelParams, match_distance, match_floor,
+                       match_gradient, match_slack)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 from .paths import Homotopy, step_powers
 
@@ -116,15 +117,19 @@ def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
 
 
 def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-              params: KernelParams, match_term=None, *, bound=None):
+              params: KernelParams, match_term=None, *, bound=None,
+              iterate=None):
     """Total objective with its two parts: (total, energy_part, match_part).
 
     With ``bound`` (a line search's Armijo threshold) and the built-in
-    endpoint H, a trial whose energy exceeds bound by more than
-    ``match_slack`` gives (inf, energy, nan) without touching the last
-    slice: the computed H is at least -slack, so, rounding being monotone,
-    energy + H would exceed bound too.  Otherwise the last slice keeps its
-    kernel for the gradient that follows if the trial is accepted.
+    endpoint H, a trial is rejected as (inf, energy, nan), without its
+    kernel matrix or a curve for its last slice, when energy + L exceeds
+    bound for a lower bound L of its computed H: first ``match_slack``'s
+    -slack, then ``match_floor``'s bound from ``iterate``, the current
+    iterate, whose gradient left the constants it needs.  Rounding being
+    monotone, energy + H would exceed bound too.  Otherwise the last slice
+    keeps its kernel for the gradient that follows if the trial is
+    accepted.  Without a bound, iterate is not read.
     """
     powers, _ = _step_powers(h, spec, grad=False)
     energy = float(np.sum(powers)) / (h.N - 1)
@@ -132,9 +137,14 @@ def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
         match = float(match_term[0](h.slice_curve(h.N - 1)))
         return energy + match, energy, match
     if bound is not None:
-        slack = match_slack(h.n, target.n, float(np.sum(h.chord_lengths[-1])),
-                            length(target))
-        if energy - slack > bound:
+        lengths = h.chord_lengths[-1]
+        total = float(np.sum(lengths))
+        if energy - match_slack(h.n, target.n, total, length(target)) \
+                > bound:
+            return np.inf, energy, np.nan
+        if iterate is not None and energy + match_floor(
+                iterate.slice_curve(iterate.N - 1), target, params,
+                h.grid[-1], lengths, total) > bound:
             return np.inf, energy, np.nan
     match = match_distance(h.slice_curve(h.N - 1), target, params,
                            keep=bound is not None)
@@ -195,7 +205,8 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                 continue
             threshold = f - cfg.armijo * t * gsq
             f_new, e_new, m_new = objective(cand, target, spec, params,
-                                            match_term, bound=threshold)
+                                            match_term, bound=threshold,
+                                            iterate=h)
             if f_new <= threshold:
                 accepted = True
                 break

@@ -18,6 +18,7 @@ from bvgeo import optimize
 from bvgeo.cli import _write_trace, main
 from bvgeo.io import CONFIG_KEYS
 from bvgeo.optimize import TRACE_COLUMNS
+from bvgeo.svg import _polyline
 from conftest import fourier_curve, smooth_homotopy
 
 
@@ -148,6 +149,22 @@ class TestHomotopyFiles:
         save_homotopy(h, p)
         back = load_homotopy(p)
         assert np.array_equal(back.grid, h.grid)
+
+    def test_bytes_match_per_point_floats(self, rng, tmp_path):
+        # the document is the one the per-point float() formula wrote,
+        # byte for byte, with -0.0, subnormal and large coordinates
+        grid = smooth_homotopy(rng, 3, 16)
+        grid[1, :4] = [[-0.0, 0.0], [5e-324, -2.5e-310],
+                       [1.7976931348623157e308, -1e300], [1e-17, 3.0]]
+        h = Homotopy(grid)
+        p = tmp_path / "h.json"
+        save_homotopy(h, p)
+        doc = {"N": h.N, "n": h.n,
+               "slices": [[[float(x), float(y)] for x, y in sl]
+                          for sl in h.grid]}
+        assert p.read_text() == json.dumps(doc) + "\n"
+        assert '[-0.0, 0.0]' in p.read_text()
+        assert load_homotopy(p).grid.tobytes() == h.grid.tobytes()
 
     def test_shape_mismatch(self, rng, tmp_path):
         h = Homotopy(smooth_homotopy(rng, 4, 12))
@@ -446,6 +463,17 @@ class TestCli:
         assert text.startswith("<svg")
         # one polygon per slice plus the black source overlay
         assert text.count("<polygon") == 5
+
+    def test_svg_polyline_formats_as_numpy_scalars(self, rng):
+        # Python floats from tolist() print as the np.float64 rows did
+        nodes = smooth_homotopy(rng, 2, 40)[1]
+        nodes[:3] = [[-0.0, 1e-12], [0.1234995, 0.0004999], [2.5e3, -7.0]]
+        offset, scale, height = np.array([-0.3, 0.1]), 417.3, 512.0
+        pts = (nodes - offset) * scale
+        want = " ".join(f"{x:.3f},{height - y:.3f}" for x, y in pts)
+        line = _polyline(nodes, scale, offset, height, 'stroke="#000"')
+        assert line == (f'  <polygon points="{want}" fill="none" '
+                        'stroke="#000"/>')
 
     def test_svg_endpoint_colors(self, rng, tmp_path):
         h = Homotopy(smooth_homotopy(rng, 5, 16))

@@ -7,7 +7,7 @@ from bvgeo import (KernelParams, PolyCurve, constant_speed_resample,
                    currents_distance_sq, kernel, length, match_distance,
                    match_gradient)
 from bvgeo import matching
-from bvgeo.matching import _KEPT, match_slack
+from bvgeo.matching import _KEPT, _REFERENCE, match_floor, match_slack
 from conftest import fourier_curve
 
 KP = KernelParams(sigma=0.5, delta=0.05)
@@ -121,6 +121,94 @@ class TestMatchSlack:
             kp = KernelParams(width, width)
             assert match_distance(a, a, kp) >= -match_slack(
                 n, n, length(a), length(a))
+
+
+def _trial_floor(a, a2, b, kp):
+    return match_floor(a, b, kp, a2.nodes, a2.chord_lengths, length(a2))
+
+
+class TestMatchFloor:
+    """match_gradient(a, b) leaves on a what match_floor needs to bound the
+    computed H of any curve a2 near a from below, which the line search
+    relies on to reject a trial before building its kernel matrix."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 256),
+           m=st.integers(3, 256), same=st.booleans(),
+           log_widths=st.tuples(st.floats(-4, 0), st.floats(-4, 0)),
+           radius=st.floats(0.01, 3.0), offset=st.floats(-1, 1),
+           log_move=st.floats(-16, -1), descent=st.booleans())
+    def test_computed_value_above_floor(self, seed, n, m, same, log_widths,
+                                        radius, offset, log_move, descent):
+        rng = np.random.default_rng(seed)
+        a = fourier_curve(rng, n, radius=radius, wobble=0.2 * radius)
+        # b crosses a, or lies beside it, at every scale
+        b = a if same else fourier_curve(
+            rng, m, radius=radius, wobble=0.2 * radius,
+            center=(0.5 + 2.0 * offset * radius, 0.45))
+        kp = KernelParams(*(10.0 ** w for w in log_widths))
+        grad = match_gradient(a, b, kp)
+        # a move of 10^log_move times the curve's scale at the largest
+        # node, either random or down H's gradient, as a line search moves
+        move = -grad if descent else rng.standard_normal((n, 2))
+        move *= 10.0 ** log_move * radius / max(np.max(np.abs(move)),
+                                                1e-300)
+        a2 = PolyCurve(a.nodes + move)
+        assert match_distance(a2, b, kp) >= _trial_floor(a, a2, b, kp)
+
+    def test_value_is_match_distance(self, rng):
+        a = fourier_curve(rng, 40)
+        b = fourier_curve(rng, 33, center=(0.55, 0.45))
+        match_gradient(a, b, KP)
+        assert vars(a)[_REFERENCE][2] == match_distance(a, b, KP)
+        # at a itself the floor sits just below H, by the two slacks
+        h0 = match_distance(a, b, KP)
+        slack = match_slack(40, 33, length(a), length(b))
+        assert h0 - 1e3 * slack < _trial_floor(a, a, b, KP) < h0 - 2 * slack
+
+    def test_floor_follows_small_descent_steps(self, rng):
+        # down the gradient the floor falls below H_0 in proportion to the
+        # step, and stays far above match_slack's -slack
+        a = fourier_curve(rng, 128)
+        b = fourier_curve(rng, 128, center=(0.55, 0.45))
+        grad = match_gradient(a, b, KP)
+        h0 = match_distance(a, b, KP)
+        drops = []
+        for t in (1e-9, 1e-7, 1e-5):
+            a2 = PolyCurve(a.nodes - t * grad)
+            floor = _trial_floor(a, a2, b, KP)
+            assert 0.99 * h0 < floor <= match_distance(a2, b, KP)
+            drops.append((h0 - floor) / t)
+        assert max(drops) < 1.01 * min(drops)
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
+    def test_kernel_term_needed_on_coarse_curves(self, rng, t):
+        # chords of 0.12 against widths of 0.01: down the gradient, H falls
+        # by more than the normal-mismatch term 4 (K l_b)_i D_i allows, and
+        # the floor holds only through the kernel term 2 Lip_K L_b l2_i D_i
+        a = fourier_curve(rng, 16)
+        b = fourier_curve(rng, 16, center=(0.8, 0.45))
+        kp = KernelParams(0.01, 0.01)
+        grad = match_gradient(a, b, kp)
+        a2 = PolyCurve(a.nodes - t * 0.3 * grad / np.max(np.abs(grad)))
+        value = match_distance(a2, b, kp)
+        d = np.hypot(*(a2.nodes - a.nodes).T)
+        weights = vars(a)[_REFERENCE][-1]
+        assert value < vars(a)[_REFERENCE][2] - (d + np.roll(d, -1)) @ weights
+        assert value >= _trial_floor(a, a2, b, kp)
+
+    @pytest.mark.parametrize("other", ["none", "target", "equal target",
+                                       "params"])
+    def test_keyed_by_target_object_and_params(self, rng, other):
+        a = fourier_curve(rng, 30)
+        b = fourier_curve(rng, 25, center=(0.55, 0.45))
+        target = {"none": b, "target": fourier_curve(rng, 25),
+                  "equal target": PolyCurve(b.nodes.copy()),
+                  "params": b}[other]
+        if other != "none":
+            match_gradient(a, b, KernelParams(0.3, 0.02)
+                           if other == "params" else KP)
+        assert _trial_floor(a, a, target, KP) == -np.inf
 
 
 class TestKeptKernel:

@@ -9,7 +9,8 @@ from bvgeo import (BV2, H2, Homotopy, KernelParams, LineSearchError,
                    init_linear, match_distance, objective, path_energy,
                    step_norms)
 from bvgeo import optimize
-from bvgeo.matching import _KEPT
+from bvgeo.curves import length
+from bvgeo.matching import _KEPT, _REFERENCE, match_slack
 from bvgeo.optimize import TRACE_COLUMNS
 from conftest import fourier_curve, smooth_homotopy
 
@@ -269,26 +270,32 @@ def _holds_slot(h):
 
 
 class TestBoundedTrials:
-    """descend hands each Armijo trial its threshold as objective's bound:
-    a trial may be rejected on its energy alone, and an accepted trial's
-    kernel serves the gradient that follows.  Neither may change a
-    decision or a bit of the result."""
+    """descend hands each Armijo trial its threshold as objective's bound
+    and the current iterate: a trial may be rejected on its energy alone
+    or on the floor of its match term that the iterate's gradient left,
+    and an accepted trial's kernel serves the gradient that follows.  None
+    of this may change a decision or a bit of the result."""
 
     @pytest.fixture
     def record(self, monkeypatch):
         """Wraps optimize.objective and match_gradient: counts trials,
-        trials rejected before the match, and gradients that found the
-        kernel kept."""
-        counts = dict.fromkeys(["trials", "energy_rejects", "gradients",
-                                "kept"], 0)
+        trials rejected before the match on their energy and on the match
+        floor, and gradients that found the kernel kept."""
+        counts = dict.fromkeys(["trials", "energy_rejects", "floor_rejects",
+                                "gradients", "kept"], 0)
         objective_, match_gradient_ = optimize.objective, \
             optimize.match_gradient
 
-        def objective(*args, bound=None, **kwargs):
-            out = objective_(*args, bound=bound, **kwargs)
+        def objective(h, target, *args, bound=None, **kwargs):
+            out = objective_(h, target, *args, bound=bound, **kwargs)
             if bound is not None:
                 counts["trials"] += 1
-                counts["energy_rejects"] += out[0] == np.inf
+                slack = match_slack(h.n, target.n,
+                                    float(np.sum(h.chord_lengths[-1])),
+                                    length(target))
+                on_energy = out[1] - slack > bound
+                counts["energy_rejects"] += on_energy
+                counts["floor_rejects"] += out[0] == np.inf and not on_energy
             return out
 
         def match_gradient(a, b, params):
@@ -305,7 +312,7 @@ class TestBoundedTrials:
         # every trial evaluated in full, as descend did before the bound
         full = optimize.objective
 
-        def objective(*args, bound=None, **kwargs):
+        def objective(*args, bound=None, iterate=None, **kwargs):
             return full(*args, **kwargs)
 
         monkeypatch.setattr(optimize, "objective", objective)
@@ -331,10 +338,13 @@ class TestBoundedTrials:
             assert not _holds_slot(a.homotopy)
         assert counts["energy_rejects"] > 0
         if (family, p, init) == (H2, 1, "constant"):
-            # the stall pair of test_unchanged_grid_stalls
+            # the stall pair of test_unchanged_grid_stalls: every trial
+            # before the unchanged grid fails on its energy alone
             assert bounded[1].termination == "stalled"
-            assert counts["kept"] == 0
+            assert counts["kept"] == counts["floor_rejects"] == 0
         else:
+            if init == "constant":
+                assert counts["floor_rejects"] > 0
             # every accepted iterate's gradient found its kernel kept
             iters = sum(bounded[0].iters_per_stage) \
                 + sum(bounded[1].iters_per_stage)
@@ -369,6 +379,55 @@ class TestBoundedTrials:
         assert _KEPT in vars(h.slice_curve(h.N - 1))
         gradient(h, tgt, BV_SPEC, KP)
         assert not _holds_slot(h)
+
+    def test_unbounded_objective_never_reads_the_floor(self, rng,
+                                                        monkeypatch):
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        objective_, match_floor_ = optimize.objective, optimize.match_floor
+        bounded, reads = [], []
+
+        def objective(*args, bound=None, **kwargs):
+            bounded.append(bound is not None)
+            try:
+                return objective_(*args, bound=bound, **kwargs)
+            finally:
+                bounded.pop()
+
+        def match_floor(*args):
+            reads.append(bounded[-1])
+            return match_floor_(*args)
+
+        monkeypatch.setattr(optimize, "objective", objective)
+        monkeypatch.setattr(optimize, "match_floor", match_floor)
+        rep = continuation(init_constant(src, 5), tgt, BV_SPEC, KP,
+                           OptimConfig(max_iters=10))
+        assert reads and all(reads)
+        monkeypatch.setattr(optimize, "match_floor", match_floor_)
+        # a reference that would reject any trial changes no unbounded value
+        h = rep.homotopy
+        last = vars(h.slice_curve(h.N - 1))
+        want = objective_(Homotopy(h.grid.copy()), tgt, BV_SPEC, KP)
+        last[_REFERENCE] = (tgt, KP, np.inf) + last[_REFERENCE][3:]
+        assert objective_(h, tgt, BV_SPEC, KP, iterate=h) == want
+        assert objective_(h, tgt, BV_SPEC, KP, bound=want[0] + 1.0,
+                          iterate=h)[0] == np.inf
+
+    def test_floor_rejection_leaves_last_slice_alone(self, rng):
+        h = Homotopy(smooth_homotopy(rng, 5, 20))
+        tgt = fourier_curve(rng, 20)
+        total, energy, match = objective(h, tgt, BV_SPEC, KP)
+        gradient(h, tgt, BV_SPEC, KP)
+        assert vars(h.slice_curve(h.N - 1))[_REFERENCE][2] == match
+        trial = Homotopy(h.grid)
+        # not rejected on its energy, but on its floor: the same nodes
+        # give H_0 less the two slacks, far above total - 1e-9
+        out = objective(trial, tgt, BV_SPEC, KP, bound=total - 1e-9,
+                        iterate=h)
+        assert out[0] == np.inf and out[1] == energy and np.isnan(out[2])
+        assert not trial._slices
+        # at a bound the full value meets, the trial is evaluated in full
+        assert objective(trial, tgt, BV_SPEC, KP, bound=total,
+                         iterate=h)[0] == total
 
     def test_energy_rejection_leaves_last_slice_alone(self, rng):
         h = Homotopy(smooth_homotopy(rng, 5, 20))
