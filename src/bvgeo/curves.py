@@ -108,9 +108,8 @@ def _as_nodes(nodes) -> np.ndarray:
 class PolyCurve:
     """Closed piecewise-affine curve with n >= 3 nodes in the plane.
 
-    Equality and hashing are by identity: the cached geometry, and the
-    kernel slot that the matching term may leave on a curve, belong to one
-    object, and comparing node arrays elementwise has no truth value.
+    Equality and hashing are by identity: the cached geometry belongs to
+    one object, and comparing node arrays elementwise has no truth value.
     """
 
     nodes: np.ndarray

@@ -30,14 +30,12 @@ non-negative terms, and ``match_slack`` bounds how far its computed value
 can fall below zero, so a trial whose path energy alone exceeds the Armijo
 threshold by that slack fails whatever H is.  H is also Lipschitz in the
 nodes, so ``match_floor`` bounds the computed H of a trial from below by
-the iterate's H less what the trial's node displacement can change it
-by, from K l (column 0 of K B) that the iterate's gradient left on its
-curve: a trial whose energy plus that floor exceeds the threshold fails
-without its kernel matrix.  And a trial that does reach H may keep the
-kernel's two exponentials and K B in one slot on its curve
-(``match_distance(..., keep=True)``); the gradient at the accepted trial
-pops the slot and forms K' from them in place, so an accepted iterate
-builds one kernel matrix, not two.
+the iterate's H less what the trial's node displacement can change it by,
+from the iterate's ``floor_constants``: a trial whose energy plus that
+floor exceeds the threshold fails without its kernel matrix.  And
+``match_distance(..., return_kernel=True)`` also returns the kernel's
+exponentials and K B, from which ``match_gradient`` forms K' in place.
+The functions here keep no state; ``optimize.KernelMatch`` holds a run's.
 
 Note that this discretization (like its continuous form) is positive even
 for two identical curves: non-corresponding segment pairs contribute.  Nor
@@ -68,8 +66,8 @@ class KernelParams:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.delta <= 0:
-            raise ValueError("kernel widths must be positive")
+        if not (0 < self.sigma < math.inf and 0 < self.delta < math.inf):
+            raise ValueError("kernel widths must be positive and finite")
 
 
 def kernel(v, w, params: KernelParams) -> float:
@@ -150,48 +148,37 @@ def match_slack(n: int, m: int, length_a: float, length_b: float) -> float:
     return 16.0 * (n + m + 16) * 2.0 ** -53 * length_a * length_b
 
 
-def kernel_lipschitz(params: KernelParams) -> float:
-    """Lipschitz constant (1/s + 1/d) / sqrt(e) of the kernel in either
-    argument: |d/dr exp(-r^2/2w^2)| = r exp(-r^2/2w^2) / w^2 peaks at r = w."""
-    return (1.0 / params.sigma + 1.0 / params.delta) * math.exp(-0.5)
-
-
-# The attribute of a curve a in which match_distance(..., keep=True) leaves
-# (b, params, e1, e2, K @ B) for the next match_gradient(a, b, params).
-_KEPT = "_kept_kernel"
-
-# The attribute of a curve a in which match_gradient(a, b, params) leaves
-# (b, params, H_0, L_a, q, c, w), match_floor's constants for trials about
-# a: H_0 = H(a) as match_distance computes it, s(x) = q L_x, c = 2 Lip_K L_b
-# and w = 4 K l_b plus its rounding allowance, c and w scaled by _DROP_SCALE.
-_REFERENCE = "_match_reference"
-
 # Room for the rounding of match_floor's drop bound, whose relative error
 # is below (n + m + 32) u: far below 1e-6 for any n and m a curve can have.
 _DROP_SCALE = 1.0 + 1e-6
 
 
-def _reference(a: PolyCurve, b: PolyCurve, params: KernelParams,
-               value: float, kl: np.ndarray):
-    """match_floor's constants about a, from its computed H and K l_b."""
-    lip = kernel_lipschitz(params)
+def floor_constants(a: PolyCurve, b: PolyCurve, params: KernelParams,
+                    value: float, kl: np.ndarray):
+    """match_floor's constants for trials about a, from its computed
+    H_0 = match_distance(a, b, params) and K l_b (column 0 of the K @ B
+    that match_distance returns): (a's nodes, H_0, L_a, q, c, w), with
+    s(x) = q L_x, c = 2 Lip_K L_b and w = 4 K l_b plus its rounding
+    allowance, c and w scaled by _DROP_SCALE."""
+    # Lip_K = (1/s + 1/d) / sqrt(e) bounds the kernel's slope in either
+    # argument: |d/dr exp(-r^2/2w^2)| = r exp(-r^2/2w^2) / w^2 peaks at r = w
+    lip = (1.0 / params.sigma + 1.0 / params.delta) * math.exp(-0.5)
     lb = length(b)
     spread = 1.0 + lip * (float(np.abs(a.nodes).max())
                           + float(np.abs(b.nodes).max()))
     weights = kl * (4.0 * _DROP_SCALE)
     # 4 times K l_b's rounding allowance
     weights += _DROP_SCALE * 16.0 * (b.n + 16) * spread * 2.0 ** -53 * lb
-    return (b, params, value, length(a),
+    return (a.nodes, value, length(a),
             2.0 * spread * match_slack(a.n, b.n, 1.0, lb),
             _DROP_SCALE * 2.0 * lip * lb, weights)
 
 
-def match_floor(a: PolyCurve, b: PolyCurve, params: KernelParams,
-                nodes: np.ndarray, lengths: np.ndarray, total: float) -> float:
+def match_floor(constants, nodes: np.ndarray, lengths: np.ndarray,
+                total: float) -> float:
     """A lower bound on the computed match_distance(a2, b, params) of the
-    curve a2 with these nodes, chord lengths and their sum total, made from
-    the constants that match_gradient(a, b, params) left on a; -inf when a
-    holds none for this b (the same object) and equal params.
+    curve a2 with these nodes, chord lengths and their sum total, from the
+    ``floor_constants`` of a curve a and the same b and params.
 
     The bound is H_0 - Delta - s(a) - s(a2).  Write H* for H evaluated
     exactly on the nodes, l and l2 for the chord lengths of a and a2,
@@ -199,7 +186,7 @@ def match_floor(a: PolyCurve, b: PolyCurve, params: KernelParams,
     H* = sum_ij phi_ij K_ij l_bj.  As a function of chord_i,
     phi_ij = (1 + |m_j|^2) |chord_i| - 2 <rot90(chord_i), m_j> is
     (1 + |m_j|)^2 = 4-Lipschitz and at most 4 l_i, and K_ij is
-    Lip_K-Lipschitz in the midpoint c_i (``kernel_lipschitz``).  The node
+    Lip_K-Lipschitz in the midpoint c_i (see ``floor_constants``).  The node
     displacement delta = a2 - a moves chord_i by at most
     D_i = |delta_i| + |delta_{i+1}| and c_i by at most D_i / 2, so with
     phi2 K2 - phi K = (phi2 - phi) K + phi2 (K2 - K),
@@ -235,11 +222,8 @@ def match_floor(a: PolyCurve, b: PolyCurve, params: KernelParams,
     fl(E + floor) > bound makes the argument of ``match_slack``'s caller:
     rounding being monotone, fl(E + H(a2)) > bound too.
     """
-    ref = a.__dict__.get(_REFERENCE)
-    if ref is None or ref[0] is not b or ref[1] != params:
-        return -np.inf
-    value, length_a, per_length, scale, weights = ref[2:]
-    delta = nodes - a.nodes
+    origin, value, length_a, per_length, scale, weights = constants
+    delta = nodes - origin
     d = np.hypot(delta[:, 0], delta[:, 1])
     d += cyclic_shift(d, -1, 0)                       # D_i
     per_node = lengths * scale
@@ -249,49 +233,38 @@ def match_floor(a: PolyCurve, b: PolyCurve, params: KernelParams,
 
 
 def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams, *,
-                   keep: bool = False) -> float:
+                   return_kernel: bool = False):
     """Midpoint-rule discretization of the normal-mismatch kernel integral.
 
-    With keep, a holds the kernel's two exponentials and K @ B in one slot
-    until the next match_gradient of a pops it: that call then builds no
-    kernel matrix if its b is this b (the same object) with equal params.
+    With return_kernel, returns (H, (e1, e2, K @ B)): the kernel's two
+    exponentials and its product with b's block, which match_gradient of
+    the same a, b and params takes in place of building them again.
     """
     ca, _, na, la = a.segments
-    k, *exps = _kernel_matrices(ca, b.segments[0], params)
-    if not keep:
-        del exps    # so a plain evaluation peaks at its three arrays
+    k, e1, e2 = _kernel_matrices(ca, b.segments[0], params)
     prod = k @ b.kernel_block
-    if keep:
-        a.__dict__[_KEPT] = (b, params, *exps, prod)
-    return float(la @ _mismatch(prod, na)[:, 0])
+    value = float(la @ _mismatch(prod, na)[:, 0])
+    return (value, (e1, e2, prod)) if return_kernel else value
 
 
-def match_gradient(a: PolyCurve, b: PolyCurve,
-                   params: KernelParams) -> np.ndarray:
+def match_gradient(a: PolyCurve, b: PolyCurve, params: KernelParams,
+                   kernel=None) -> np.ndarray:
     """Exact gradient of match_distance with respect to a's node coordinates.
 
     Chains through segment midpoints, chord lengths, and the Jacobian of
-    the normalized chord under the 90-degree rotation.  Takes the
-    exponentials and K @ B from a's slot when match_distance kept them for
-    this b and params, and empties the slot in any case.  Leaves on a the
-    constants of ``match_floor`` for trials about a.
+    the normalized chord under the 90-degree rotation.  kernel is the
+    (e1, e2, K @ B) that match_distance(a, b, params, return_kernel=True)
+    returned, built here when None; its exponentials are overwritten.
     """
     ca, tang, na, la = a.segments
-    kept = a.__dict__.pop(_KEPT, None)
-    if kept is not None and kept[0] is b and kept[1] == params:
-        e1, e2, prod = kept[2:]
-    else:
-        k, e1, e2 = _kernel_matrices(ca, b.segments[0], params)
-        prod = k @ b.kernel_block
+    e1, e2, prod = kernel or match_distance(a, b, params,
+                                            return_kernel=True)[1]
     # K' = e1/s^2 + e2/d^2, so that dK_ij/dc_i = -K'_ij (c_i - d_j)
     kprime = np.divide(e1, params.sigma ** 2, out=e1)
     kprime += np.divide(e2, params.delta ** 2, out=e2)
 
     # dH/dl_i
     alpha = _mismatch(prod, na)[:, 0]
-    # H at a, as match_distance computes it, and K l_b, for match_floor
-    a.__dict__[_REFERENCE] = _reference(a, b, params, float(la @ alpha),
-                                        prod[:, 0])
     # dH/dn_i = 2 l_i sum_j k_ij l_j (n_i - m_j)
     g = 2.0 * la[:, None] * (prod[:, :1] * na - prod[:, 2:])
     # dH/dc_i (kernel factor), already including l_i: the sums over j of

@@ -71,12 +71,12 @@ class MetricSpec:
         if self.family not in (BV2, H2):
             raise ValueError(f"unknown metric family {self.family!r}")
         w = tuple(float(x) for x in self.weights)
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise ValueError("weights must be three nonnegative reals")
+        if len(w) != 3 or not all(0 <= x < np.inf for x in w):
+            raise ValueError("weights must be three finite reals >= 0")
         if not any(x > 0 for x in w):
             raise ValueError("at least one weight must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError("eps must be nonnegative and finite")
         if self.exponent not in (1, 2):
             raise ValueError("exponent must be 1 or 2")
         object.__setattr__(self, "weights", w)

@@ -11,8 +11,8 @@ the discrete immersion test on any slice is treated as a line-search
 rejection, which keeps all iterates inside the open set of immersed curves.
 A trial is evaluated immersion, then energy, then a lower bound on its
 match term, then match, and stops at the first of them that rejects it
-(see ``objective``'s bound); the accepted trial's kernel matrix serves its
-gradient.
+(see ``objective``'s bound).  One endpoint object (``KernelMatch``)
+serves a whole run and remembers the last curve it evaluated.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import PolyCurve, inner, length
-from .matching import (KernelParams, match_distance, match_floor,
-                       match_gradient, match_slack)
+from .matching import (KernelParams, floor_constants, match_distance,
+                       match_floor, match_gradient, match_slack)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
 from .paths import Homotopy, step_powers
 
@@ -48,19 +48,19 @@ class OptimConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
+        if not 0 < self.tau0 < np.inf:
+            raise ValueError("tau0 must be positive and finite")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must be in (0, 1)")
         if not 0 < self.armijo < 1:
             raise ValueError("armijo constant must be in (0, 1)")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
         sched = tuple(float(e) for e in self.eps_schedule)
         if not sched:
             raise ValueError("eps_schedule must be nonempty")
-        if any(e < 0 for e in sched):
-            raise ValueError("eps_schedule entries must be nonnegative")
+        if not all(0 <= e < np.inf for e in sched):
+            raise ValueError("eps_schedule entries must be finite, >= 0")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
         object.__setattr__(self, "eps_schedule", sched)
@@ -116,43 +116,72 @@ def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
                        (bv2_norm_and_partials, h2_sq_and_partials))
 
 
+class KernelMatch:
+    """The endpoint term H(., target) of ``matching`` for one run.
+
+    It keeps the last curve it evaluated (by identity: a PolyCurve is
+    immutable) with its H and either its kernel, until the gradient there
+    consumes it, or its gradient; and the ``floor_constants`` of its last
+    gradient's curve, about which ``descend`` takes its trials.
+    """
+
+    def __init__(self, target: PolyCurve, params: KernelParams):
+        self.target, self.params = target, params
+        self._curve = self._kernel = self._grad = self._floor = None
+
+    def value(self, curve: PolyCurve) -> float:
+        """H(curve, target) as ``match_distance`` computes it."""
+        if curve is not self._curve:
+            self._kernel = self._grad = None
+            self._value, self._kernel = match_distance(
+                curve, self.target, self.params, return_kernel=True)
+            self._curve = curve
+        return self._value
+
+    def gradient(self, curve: PolyCurve) -> np.ndarray:
+        """The match gradient at curve, read-only."""
+        self.value(curve)
+        if self._grad is None:
+            kernel, self._kernel = self._kernel, None
+            self._floor = floor_constants(curve, self.target, self.params,
+                                          self._value, kernel[2][:, 0])
+            self._grad = match_gradient(curve, self.target, self.params,
+                                        kernel)
+            self._grad.setflags(write=False)
+        return self._grad
+
+    def rejects(self, h: Homotopy, energy: float, bound: float) -> bool:
+        """Whether energy + L > bound, L being ``match_slack``'s -slack or
+        ``match_floor``'s bound about the last gradient's curve: as L is below
+        the computed H and rounding is monotone, energy + H > bound too."""
+        lengths = h.chord_lengths[-1]
+        total = float(np.sum(lengths))
+        return (energy - match_slack(h.n, self.target.n, total,
+                                     length(self.target)) > bound
+                or self._floor is not None
+                and energy + match_floor(self._floor, h.grid[-1], lengths,
+                                         total) > bound)
+
+
 def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-              params: KernelParams, match_term=None, *, bound=None,
-              iterate=None):
+              params: KernelParams, endpoint=None, *, bound=None):
     """Total objective with its two parts: (total, energy_part, match_part).
 
-    With ``bound`` (a line search's Armijo threshold) and the built-in
-    endpoint H, a trial is rejected as (inf, energy, nan), without its
-    kernel matrix or a curve for its last slice, when energy + L exceeds
-    bound for a lower bound L of its computed H: first ``match_slack``'s
-    -slack, then ``match_floor``'s bound from ``iterate``, the current
-    iterate, whose gradient left the constants it needs.  Rounding being
-    monotone, energy + H would exceed bound too.  Otherwise the last slice
-    keeps its kernel for the gradient that follows if the trial is
-    accepted.  Without a bound, iterate is not read.
+    The endpoint defaults to ``KernelMatch(target, params)``.  A trial that
+    it ``rejects`` at ``bound`` (a line search's Armijo threshold) gives
+    (inf, energy, nan) without its match term or a last-slice curve.
     """
     powers, _ = _step_powers(h, spec, grad=False)
     energy = float(np.sum(powers)) / (h.N - 1)
-    if match_term:
-        match = float(match_term[0](h.slice_curve(h.N - 1)))
-        return energy + match, energy, match
-    if bound is not None:
-        lengths = h.chord_lengths[-1]
-        total = float(np.sum(lengths))
-        if energy - match_slack(h.n, target.n, total, length(target)) \
-                > bound:
-            return np.inf, energy, np.nan
-        if iterate is not None and energy + match_floor(
-                iterate.slice_curve(iterate.N - 1), target, params,
-                h.grid[-1], lengths, total) > bound:
-            return np.inf, energy, np.nan
-    match = match_distance(h.slice_curve(h.N - 1), target, params,
-                           keep=bound is not None)
+    endpoint = endpoint or KernelMatch(target, params)
+    if bound is not None and endpoint.rejects(h, energy, bound):
+        return np.inf, energy, np.nan
+    match = float(endpoint.value(h.slice_curve(h.N - 1)))
     return energy + match, energy, match
 
 
 def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-             params: KernelParams, match_term=None) -> np.ndarray:
+             params: KernelParams, endpoint=None) -> np.ndarray:
     """Exact objective gradient, (N, n, 2); the pinned slice-0 block is zero.
 
     For the BV2 family the objective is nonsmooth at eps = 0, so the
@@ -161,11 +190,10 @@ def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     if spec.family == BV2 and spec.eps == 0.0:
         raise ValueError("BV2 gradient requires eps > 0 (objective is "
                          "nonsmooth at eps = 0)")
+    endpoint = endpoint or KernelMatch(target, params)
     # the match term first: it frees the kernel its trial kept before the
     # energy partials allocate theirs
-    last = h.slice_curve(h.N - 1)
-    match_grad = match_term[1](last) if match_term \
-        else match_gradient(last, target, params)
+    match_grad = endpoint.gradient(h.slice_curve(h.N - 1))
     _, grad = _step_powers(h, spec, grad=True)
     grad /= (h.N - 1)
     grad[-1] += match_grad
@@ -175,13 +203,14 @@ def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
 
 def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
             params: KernelParams, cfg: OptimConfig,
-            match_term=None) -> OptimReport:
+            endpoint=None) -> OptimReport:
     """Armijo-backtracking gradient descent at the spec's fixed eps."""
     report = OptimReport(homotopy=h0)
     h = h0
+    endpoint = endpoint or KernelMatch(target, params)
 
-    f, e_part, m_part = objective(h, target, spec, params, match_term)
-    g = gradient(h, target, spec, params, match_term)
+    f, e_part, m_part = objective(h, target, spec, params, endpoint)
+    g = gradient(h, target, spec, params, endpoint)
     gnorm = float(np.max(np.abs(g)))
     tol = cfg.grad_tol * max(gnorm, 1e-300)
     tau = cfg.tau0 / (1.0 + gnorm)
@@ -205,8 +234,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                 continue
             threshold = f - cfg.armijo * t * gsq
             f_new, e_new, m_new = objective(cand, target, spec, params,
-                                            match_term, bound=threshold,
-                                            iterate=h)
+                                            endpoint, bound=threshold)
             if f_new <= threshold:
                 accepted = True
                 break
@@ -223,7 +251,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
             break
         h = cand
         f, e_part, m_part = f_new, e_new, m_new
-        g = gradient(h, target, spec, params, match_term)
+        g = gradient(h, target, spec, params, endpoint)
         gnorm = float(np.max(np.abs(g)))
         # gentle step growth so backtracking stays cheap
         tau = t / cfg.shrink
@@ -238,21 +266,23 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
 
 def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                  params: KernelParams, cfg: OptimConfig,
-                 match_term=None) -> OptimReport:
+                 endpoint=None) -> OptimReport:
     """Run descend per eps in the schedule, warm-starting each stage.
 
     Each stage's final objective is recorded both at the stage's own eps and
     re-evaluated at the schedule's smallest eps, so stages are comparable.
+    One endpoint (by default ``KernelMatch``) serves every stage.
     """
+    endpoint = endpoint or KernelMatch(target, params)
     eps_min = cfg.eps_schedule[-1]
     merged = OptimReport(homotopy=h0)
     h = h0
     for eps in cfg.eps_schedule:
         rep = descend(h, target, replace(spec, eps=eps), params, cfg,
-                      match_term)
+                      endpoint)
         h = rep.homotopy
         at_min, _, _ = objective(h, target, replace(spec, eps=eps_min),
-                                 params, match_term)
+                                 params, endpoint)
         merged.extend(rep.rows)
         merged.iters_per_stage += rep.iters_per_stage
         merged.stage_objectives.append(
@@ -266,8 +296,8 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
 
 
 def fd_check(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-             params: KernelParams, num_coords: int = 50, seed: int = 0,
-             match_term=None) -> float:
+             params: KernelParams, num_coords: int = 50,
+             seed: int = 0) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
     Samples num_coords random free coordinates (slices 1..N-1); the step is
@@ -275,7 +305,7 @@ def fd_check(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     independent oracle for every gradient formula in this module.
     """
     rng = np.random.default_rng(seed)
-    g = gradient(h, target, spec, params, match_term)
+    g = gradient(h, target, spec, params)
     base = h.grid
     worst = 0.0
     gscale = max(float(np.max(np.abs(g))), 1e-12)
@@ -286,11 +316,9 @@ def fd_check(h: Homotopy, target: PolyCurve, spec: MetricSpec,
         step = 1e-7 * max(1.0, abs(base[i, j, k]))
         bumped = base.copy()
         bumped[i, j, k] += step
-        f_plus, _, _ = objective(Homotopy(bumped), target, spec, params,
-                                 match_term)
+        f_plus, _, _ = objective(Homotopy(bumped), target, spec, params)
         bumped[i, j, k] -= 2 * step
-        f_minus, _, _ = objective(Homotopy(bumped), target, spec, params,
-                                  match_term)
+        f_minus, _, _ = objective(Homotopy(bumped), target, spec, params)
         fd = (f_plus - f_minus) / (2 * step)
         err = abs(fd - g[i, j, k]) / max(abs(g[i, j, k]), gscale * 1e-3)
         worst = max(worst, err)

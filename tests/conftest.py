@@ -1,7 +1,9 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from bvgeo import PolyCurve, TangentField
+from bvgeo import PolyCurve, TangentField, matching
 
 
 def fourier_curve(rng, n, radius=0.3, wobble=0.08, modes=4, center=(0.5, 0.5)):
@@ -42,6 +44,16 @@ def smooth_homotopy(rng, N, n, amp=0.05):
     return grid
 
 
+# what a PolyCurve may hold besides its nodes: its cached geometry
+_CACHED = {name for name, attr in vars(PolyCurve).items()
+           if isinstance(attr, cached_property)}
+
+
+def only_cached(curve):
+    """Whether curve holds nothing but its nodes and cached properties."""
+    return set(vars(curve)) <= _CACHED | {"nodes"}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -50,3 +62,17 @@ def rng():
 @pytest.fixture
 def unit_square():
     return PolyCurve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts kernel-matrix builds."""
+    calls = []
+    build = matching._kernel_matrices
+
+    def counted(*args):
+        calls.append(None)
+        return build(*args)
+
+    monkeypatch.setattr(matching, "_kernel_matrices", counted)
+    return calls

@@ -392,7 +392,8 @@ class TestCli:
                                          monkeypatch):
         src, tgt = self.pair(rng, tmp_path)
         monkeypatch.setattr(optimize, "match_gradient",
-                            lambda a, b, params: np.full_like(a.nodes, np.nan))
+                            lambda a, b, params, kernel=None:
+                            np.full_like(a.nodes, np.nan))
         rc = main(["geodesic", "--source", src, "--target", tgt,
                    "--grid", "3,24", "--out", str(tmp_path / "run")])
         assert rc == 2

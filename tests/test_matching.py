@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from bvgeo import (KernelParams, PolyCurve, constant_speed_resample,
                    currents_distance_sq, kernel, length, match_distance,
                    match_gradient)
-from bvgeo import matching
-from bvgeo.matching import _KEPT, _REFERENCE, match_floor, match_slack
-from conftest import fourier_curve
+from bvgeo.matching import floor_constants, match_floor, match_slack
+from bvgeo.optimize import KernelMatch
+from conftest import fourier_curve, only_cached
 
 KP = KernelParams(sigma=0.5, delta=0.05)
 
@@ -123,12 +123,20 @@ class TestMatchSlack:
                 n, n, length(a), length(a))
 
 
+def _constants(a, b, kp):
+    """match_floor's constants about a, from H and K l_b as match_distance
+    returns them."""
+    value, (_, _, prod) = match_distance(a, b, kp, return_kernel=True)
+    return floor_constants(a, b, kp, value, prod[:, 0])
+
+
 def _trial_floor(a, a2, b, kp):
-    return match_floor(a, b, kp, a2.nodes, a2.chord_lengths, length(a2))
+    return match_floor(_constants(a, b, kp), a2.nodes, a2.chord_lengths,
+                       length(a2))
 
 
 class TestMatchFloor:
-    """match_gradient(a, b) leaves on a what match_floor needs to bound the
+    """floor_constants(a, b, ...) hold what match_floor needs to bound the
     computed H of any curve a2 near a from below, which the line search
     relies on to reject a trial before building its kernel matrix."""
 
@@ -159,10 +167,14 @@ class TestMatchFloor:
     def test_value_is_match_distance(self, rng):
         a = fourier_curve(rng, 40)
         b = fourier_curve(rng, 33, center=(0.55, 0.45))
-        match_gradient(a, b, KP)
-        assert vars(a)[_REFERENCE][2] == match_distance(a, b, KP)
-        # at a itself the floor sits just below H, by the two slacks
         h0 = match_distance(a, b, KP)
+        assert _constants(a, b, KP)[1] == h0
+        # the endpoint's gradient builds the same constants
+        endpoint = KernelMatch(b, KP)
+        endpoint.gradient(a)
+        for got, want in zip(endpoint._floor, _constants(a, b, KP)):
+            assert np.array_equal(got, want)
+        # at a itself the floor sits just below H, by the two slacks
         slack = match_slack(40, 33, length(a), length(b))
         assert h0 - 1e3 * slack < _trial_floor(a, a, b, KP) < h0 - 2 * slack
 
@@ -193,73 +205,51 @@ class TestMatchFloor:
         a2 = PolyCurve(a.nodes - t * 0.3 * grad / np.max(np.abs(grad)))
         value = match_distance(a2, b, kp)
         d = np.hypot(*(a2.nodes - a.nodes).T)
-        weights = vars(a)[_REFERENCE][-1]
-        assert value < vars(a)[_REFERENCE][2] - (d + np.roll(d, -1)) @ weights
+        constants = _constants(a, b, kp)
+        weights = constants[-1]
+        assert value < constants[1] - (d + np.roll(d, -1)) @ weights
         assert value >= _trial_floor(a, a2, b, kp)
-
-    @pytest.mark.parametrize("other", ["none", "target", "equal target",
-                                       "params"])
-    def test_keyed_by_target_object_and_params(self, rng, other):
-        a = fourier_curve(rng, 30)
-        b = fourier_curve(rng, 25, center=(0.55, 0.45))
-        target = {"none": b, "target": fourier_curve(rng, 25),
-                  "equal target": PolyCurve(b.nodes.copy()),
-                  "params": b}[other]
-        if other != "none":
-            match_gradient(a, b, KernelParams(0.3, 0.02)
-                           if other == "params" else KP)
-        assert _trial_floor(a, a, target, KP) == -np.inf
 
 
 class TestKeptKernel:
-    """match_distance(..., keep=True) leaves its exponentials and K @ B on
-    the curve for one match_gradient; the results stay bitwise those of a
-    fresh computation."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """Counts kernel-matrix builds."""
-        calls = []
-        build = matching._kernel_matrices
-
-        def counted(*args):
-            calls.append(None)
-            return build(*args)
-
-        monkeypatch.setattr(matching, "_kernel_matrices", counted)
-        return calls
+    """match_distance(..., return_kernel=True) returns its exponentials and
+    K @ B for match_gradient, and KernelMatch passes them on; the results
+    stay bitwise those of a fresh computation."""
 
     def test_kept_gradient_bitwise_fresh(self, rng, builds):
         for n, m in [(3, 17), (40, 40), (129, 64)]:
             a = fourier_curve(rng, n)
             b = fourier_curve(rng, m, center=(0.55, 0.45))
-            value = match_distance(a, b, KP, keep=True)
-            assert _KEPT in vars(a)
+            value, kernel = match_distance(a, b, KP, return_kernel=True)
             fresh_a = PolyCurve(a.nodes.copy())
             assert value == match_distance(fresh_a, b, KP)
-            assert _KEPT not in vars(fresh_a)
             del builds[:]
-            g = match_gradient(a, b, KP)
-            assert not builds and _KEPT not in vars(a)
+            g = match_gradient(a, b, KP, kernel)
+            assert not builds
             assert g.tobytes() == match_gradient(fresh_a, b, KP).tobytes()
-            # the slot was consumed: a second call builds its own kernel
-            assert g.tobytes() == match_gradient(a, b, KP).tobytes()
-            assert len(builds) == 2
+            assert len(builds) == 1
+            assert only_cached(a) and only_cached(fresh_a)
 
-    @pytest.mark.parametrize("other", ["target", "equal target", "params"])
-    def test_slot_keyed_by_target_object_and_params(self, rng, builds,
-                                                    other):
-        a = fourier_curve(rng, 30)
-        b = fourier_curve(rng, 25, center=(0.55, 0.45))
-        target = {"target": fourier_curve(rng, 25),
-                  "equal target": PolyCurve(b.nodes.copy()),
-                  "params": b}[other]
-        want = match_gradient(PolyCurve(a.nodes.copy()), target, KP)
-        match_distance(a, b, KernelParams(0.3, 0.02) if other == "params"
-                       else KP, keep=True)
+    def test_endpoint_builds_one_kernel_per_curve(self, rng, builds):
+        a, a2 = fourier_curve(rng, 40), fourier_curve(rng, 40)
+        b = fourier_curve(rng, 33, center=(0.55, 0.45))
+        want = match_distance(a, b, KP), match_gradient(a, b, KP)
+        endpoint = KernelMatch(b, KP)
         del builds[:]
-        assert match_gradient(a, target, KP).tobytes() == want.tobytes()
-        assert len(builds) == 1 and _KEPT not in vars(a)
+        # value, then gradient, then both again: one build
+        for _ in range(2):
+            assert endpoint.value(a) == want[0]
+            assert endpoint.gradient(a).tobytes() == want[1].tobytes()
+        assert len(builds) == 1
+        # a gradient with no value before it builds once too
+        endpoint = KernelMatch(b, KP)
+        assert endpoint.gradient(a).tobytes() == want[1].tobytes()
+        assert endpoint.value(a) == want[0] and len(builds) == 2
+        # another curve replaces what is kept: a's gradient builds again
+        endpoint.value(a2)
+        assert endpoint.gradient(a).tobytes() == want[1].tobytes()
+        assert len(builds) == 4
+        assert not endpoint.gradient(a).flags.writeable
 
 
 class TestMatchGradient:

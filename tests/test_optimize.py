@@ -10,9 +10,9 @@ from bvgeo import (BV2, H2, Homotopy, KernelParams, LineSearchError,
                    step_norms)
 from bvgeo import optimize
 from bvgeo.curves import length
-from bvgeo.matching import _KEPT, _REFERENCE, match_slack
-from bvgeo.optimize import TRACE_COLUMNS
-from conftest import fourier_curve, smooth_homotopy
+from bvgeo.matching import match_gradient, match_slack
+from bvgeo.optimize import TRACE_COLUMNS, KernelMatch
+from conftest import fourier_curve, only_cached, smooth_homotopy
 
 KP = KernelParams()
 BV_SPEC = MetricSpec(family=BV2, weights=(1.0, 0.0, 1.0), eps=1e-2, exponent=2)
@@ -30,16 +30,22 @@ PINNED_TRACES = {
 }
 
 
+class FakeEndpoint:
+    """An endpoint term from two functions of the last slice's curve; it
+    rejects no trial before evaluating it."""
+
+    def __init__(self, value, gradient):
+        self.value, self.gradient = value, gradient
+
+    def rejects(self, h, energy, bound):
+        return False
+
+
 def quadratic_match(target):
     """Surrogate endpoint term ||c - target||^2 with its exact gradient."""
-
-    def value(curve):
-        return float(np.sum((curve.nodes - target.nodes) ** 2))
-
-    def grad(curve):
-        return 2.0 * (curve.nodes - target.nodes)
-
-    return value, grad
+    return FakeEndpoint(
+        lambda curve: float(np.sum((curve.nodes - target.nodes) ** 2)),
+        lambda curve: 2.0 * (curve.nodes - target.nodes))
 
 
 class TestObjective:
@@ -67,8 +73,8 @@ class TestObjective:
         h = Homotopy(smooth_homotopy(rng, 5, 16))
         tgt = fourier_curve(rng, 16)
         hook = quadratic_match(tgt)
-        _, _, match = objective(h, tgt, BV_SPEC, KP, match_term=hook)
-        assert match == pytest.approx(hook[0](h.slice_curve(h.N - 1)))
+        _, _, match = objective(h, tgt, BV_SPEC, KP, endpoint=hook)
+        assert match == pytest.approx(hook.value(h.slice_curve(h.N - 1)))
 
 
 class TestTargetGeometryCache:
@@ -188,7 +194,7 @@ class TestDescend:
                           exponent=2)
         h0 = init_constant(src, 3)
         cfg = OptimConfig(max_iters=2000, grad_tol=1e-10)
-        rep = descend(h0, tgt, spec, KP, cfg, match_term=quadratic_match(tgt))
+        rep = descend(h0, tgt, spec, KP, cfg, endpoint=quadratic_match(tgt))
         final = rep.homotopy.slice_curve(2)
         assert np.max(np.abs(final.nodes - tgt.nodes)) < 1e-4
 
@@ -215,7 +221,7 @@ class TestDescend:
 
         with pytest.raises(LineSearchError):
             descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
-                    match_term=(value, grad))
+                    endpoint=FakeEndpoint(value, grad))
 
     def test_unchanged_grid_stalls(self, rng):
         # H2 with p = 1 at the constant init: every accepted step is below
@@ -235,15 +241,15 @@ class TestDescend:
         # LineSearchError; it is a named termination instead
         h0 = Homotopy(smooth_homotopy(rng, 4, 16))
         tgt = fourier_curve(rng, 16)
-        hook = (lambda curve: 0.0,
-                lambda curve: np.full_like(curve.nodes, np.nan))
+        hook = FakeEndpoint(lambda curve: 0.0,
+                            lambda curve: np.full_like(curve.nodes, np.nan))
         rep = descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
-                      match_term=hook)
+                      endpoint=hook)
         assert rep.termination == "non_finite"
         assert rep.iters_per_stage == [0]
         assert np.array_equal(rep.homotopy.grid, h0.grid)
         rep = continuation(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
-                           match_term=hook)
+                           endpoint=hook)
         assert rep.termination == "non_finite"
         assert rep.iters_per_stage == [0]
 
@@ -265,26 +271,25 @@ def _report_bits(rep):
             rep.termination, repr(rep.stage_objectives))
 
 
-def _holds_slot(h):
-    return any(_KEPT in vars(h.slice_curve(i)) for i in range(h.N))
+def _only_cached(h):
+    return all(only_cached(h.slice_curve(i)) for i in range(h.N))
 
 
 class TestBoundedTrials:
-    """descend hands each Armijo trial its threshold as objective's bound
-    and the current iterate: a trial may be rejected on its energy alone
-    or on the floor of its match term that the iterate's gradient left,
-    and an accepted trial's kernel serves the gradient that follows.  None
-    of this may change a decision or a bit of the result."""
+    """descend hands each Armijo trial its threshold as objective's bound:
+    the endpoint may reject a trial on its energy alone or on the floor of
+    its match term about the current iterate, and an evaluated trial's
+    kernel serves the gradient that follows.  None of this may change a
+    decision or a bit of the result."""
 
     @pytest.fixture
-    def record(self, monkeypatch):
-        """Wraps optimize.objective and match_gradient: counts trials,
-        trials rejected before the match on their energy and on the match
-        floor, and gradients that found the kernel kept."""
+    def record(self, monkeypatch, builds):
+        """Wraps optimize.objective and gradient: counts trials, trials
+        rejected before the match on their energy and on the match floor,
+        gradients, and kernels built within a gradient."""
         counts = dict.fromkeys(["trials", "energy_rejects", "floor_rejects",
-                                "gradients", "kept"], 0)
-        objective_, match_gradient_ = optimize.objective, \
-            optimize.match_gradient
+                                "gradients", "gradient_builds"], 0)
+        objective_, gradient_ = optimize.objective, optimize.gradient
 
         def objective(h, target, *args, bound=None, **kwargs):
             out = objective_(h, target, *args, bound=bound, **kwargs)
@@ -298,13 +303,15 @@ class TestBoundedTrials:
                 counts["floor_rejects"] += out[0] == np.inf and not on_energy
             return out
 
-        def match_gradient(a, b, params):
+        def gradient(*args):
+            before = len(builds)
+            g = gradient_(*args)
             counts["gradients"] += 1
-            counts["kept"] += _KEPT in vars(a)
-            return match_gradient_(a, b, params)
+            counts["gradient_builds"] += len(builds) - before
+            return g
 
         monkeypatch.setattr(optimize, "objective", objective)
-        monkeypatch.setattr(optimize, "match_gradient", match_gradient)
+        monkeypatch.setattr(optimize, "gradient", gradient)
         return counts
 
     @staticmethod
@@ -312,7 +319,7 @@ class TestBoundedTrials:
         # every trial evaluated in full, as descend did before the bound
         full = optimize.objective
 
-        def objective(*args, bound=None, iterate=None, **kwargs):
+        def objective(*args, bound=None, **kwargs):
             return full(*args, **kwargs)
 
         monkeypatch.setattr(optimize, "objective", objective)
@@ -335,50 +342,52 @@ class TestBoundedTrials:
                 continuation(h0, tgt, spec, KP, cfg)]
         for a, b in zip(bounded, full):
             assert _report_bits(a) == _report_bits(b)
-            assert not _holds_slot(a.homotopy)
+            assert _only_cached(a.homotopy)
         assert counts["energy_rejects"] > 0
+        # every gradient found its curve's kernel kept by a value before it
+        assert counts["gradients"] > 0 and counts["gradient_builds"] == 0
         if (family, p, init) == (H2, 1, "constant"):
             # the stall pair of test_unchanged_grid_stalls: every trial
             # before the unchanged grid fails on its energy alone
             assert bounded[1].termination == "stalled"
-            assert counts["kept"] == counts["floor_rejects"] == 0
-        else:
-            if init == "constant":
-                assert counts["floor_rejects"] > 0
-            # every accepted iterate's gradient found its kernel kept
-            iters = sum(bounded[0].iters_per_stage) \
-                + sum(bounded[1].iters_per_stage)
-            assert counts["kept"] == iters > 0
+            assert counts["floor_rejects"] == 0
+        elif init == "constant":
+            assert counts["floor_rejects"] > 0
 
-    def test_accepted_gradient_bitwise_fresh(self, rng, monkeypatch):
+    def test_accepted_gradient_bitwise_fresh(self, rng, monkeypatch,
+                                             builds):
         src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
         gradient_ = optimize.gradient
-        kept = []
+        built = []
 
-        def gradient(h, *args):
-            kept.append(_holds_slot(h))
-            g = gradient_(h, *args)
-            assert g.tobytes() == gradient_(Homotopy(h.grid.copy()),
-                                            *args).tobytes()
+        def gradient(h, target, spec, params, endpoint):
+            before = len(builds)
+            g = gradient_(h, target, spec, params, endpoint)
+            built.append(len(builds) - before)
+            assert g.tobytes() == gradient_(Homotopy(h.grid.copy()), target,
+                                            spec, params).tobytes()
             return g
 
         monkeypatch.setattr(optimize, "gradient", gradient)
         rep = continuation(init_constant(src, 5), tgt, BV_SPEC, KP,
                            OptimConfig(max_iters=10))
-        # the stage starts evaluate without a bound and keep nothing
-        assert kept == ([False] + [True] * 10) * 3
-        assert not _holds_slot(rep.homotopy)
+        # each gradient, at every stage's start and after each of the ten
+        # iterations, takes the kernel its curve's value kept
+        assert built == [0] * 33
+        assert _only_cached(rep.homotopy)
 
-    def test_unbounded_objective_keeps_nothing(self, rng):
+    def test_unbounded_objective_keeps_nothing(self, rng, builds):
         h = Homotopy(smooth_homotopy(rng, 5, 20))
         tgt = fourier_curve(rng, 20)
         plain = objective(h, tgt, BV_SPEC, KP)
-        assert not _holds_slot(h)
-        # a bound that admits the trial keeps its kernel on the last slice
         assert objective(h, tgt, BV_SPEC, KP, bound=np.inf) == plain
-        assert _KEPT in vars(h.slice_curve(h.N - 1))
         gradient(h, tgt, BV_SPEC, KP)
-        assert not _holds_slot(h)
+        assert _only_cached(h) and len(builds) == 3
+        # an endpoint passed in keeps the value's kernel for the gradient
+        endpoint = KernelMatch(tgt, KP)
+        assert objective(h, tgt, BV_SPEC, KP, endpoint, bound=np.inf) == plain
+        gradient(h, tgt, BV_SPEC, KP, endpoint)
+        assert _only_cached(h) and len(builds) == 4
 
     def test_unbounded_objective_never_reads_the_floor(self, rng,
                                                         monkeypatch):
@@ -402,32 +411,34 @@ class TestBoundedTrials:
         rep = continuation(init_constant(src, 5), tgt, BV_SPEC, KP,
                            OptimConfig(max_iters=10))
         assert reads and all(reads)
-        monkeypatch.setattr(optimize, "match_floor", match_floor_)
-        # a reference that would reject any trial changes no unbounded value
+        # an endpoint that would reject any trial changes no unbounded value
         h = rep.homotopy
-        last = vars(h.slice_curve(h.N - 1))
         want = objective_(Homotopy(h.grid.copy()), tgt, BV_SPEC, KP)
-        last[_REFERENCE] = (tgt, KP, np.inf) + last[_REFERENCE][3:]
-        assert objective_(h, tgt, BV_SPEC, KP, iterate=h) == want
-        assert objective_(h, tgt, BV_SPEC, KP, bound=want[0] + 1.0,
-                          iterate=h)[0] == np.inf
+        refuse = KernelMatch(tgt, KP)
+        refuse.rejects = lambda *args: True
+        assert objective_(h, tgt, BV_SPEC, KP, refuse) == want
+        assert objective_(h, tgt, BV_SPEC, KP, refuse,
+                          bound=want[0] + 1.0)[0] == np.inf
 
     def test_floor_rejection_leaves_last_slice_alone(self, rng):
         h = Homotopy(smooth_homotopy(rng, 5, 20))
         tgt = fourier_curve(rng, 20)
-        total, energy, match = objective(h, tgt, BV_SPEC, KP)
-        gradient(h, tgt, BV_SPEC, KP)
-        assert vars(h.slice_curve(h.N - 1))[_REFERENCE][2] == match
+        endpoint = KernelMatch(tgt, KP)
+        total, energy, match = objective(h, tgt, BV_SPEC, KP, endpoint)
+        gradient(h, tgt, BV_SPEC, KP, endpoint)
         trial = Homotopy(h.grid)
         # not rejected on its energy, but on its floor: the same nodes
         # give H_0 less the two slacks, far above total - 1e-9
-        out = objective(trial, tgt, BV_SPEC, KP, bound=total - 1e-9,
-                        iterate=h)
+        out = objective(trial, tgt, BV_SPEC, KP, endpoint,
+                        bound=total - 1e-9)
         assert out[0] == np.inf and out[1] == energy and np.isnan(out[2])
         assert not trial._slices
+        # without the iterate's gradient there is no floor to reject on
+        assert objective(trial, tgt, BV_SPEC, KP,
+                         bound=total - 1e-9)[0] == total
         # at a bound the full value meets, the trial is evaluated in full
-        assert objective(trial, tgt, BV_SPEC, KP, bound=total,
-                         iterate=h)[0] == total
+        assert objective(trial, tgt, BV_SPEC, KP, endpoint,
+                         bound=total)[0] == total
 
     def test_energy_rejection_leaves_last_slice_alone(self, rng):
         h = Homotopy(smooth_homotopy(rng, 5, 20))
@@ -440,6 +451,23 @@ class TestBoundedTrials:
         assert not trial._slices
         # at a bound the full value meets, the trial is evaluated in full
         assert objective(h, tgt, BV_SPEC, KP, bound=total)[0] == total
+
+    def test_curves_hold_only_their_geometry(self, rng):
+        # the match functions and the objective leave nothing on a curve
+        # beyond its nodes and cached geometry
+        h = Homotopy(smooth_homotopy(rng, 5, 20))
+        tgt = fourier_curve(rng, 20)
+        a = h.slice_curve(h.N - 1)
+        match_distance(a, tgt, KP)
+        match_gradient(a, tgt, KP)
+        total, _, _ = objective(h, tgt, BV_SPEC, KP)
+        objective(h, tgt, BV_SPEC, KP, bound=total)
+        gradient(h, tgt, BV_SPEC, KP)
+        assert _only_cached(h) and only_cached(tgt)
+        match_gradient(a, tgt, KP, match_distance(a, tgt, KP,
+                                                  return_kernel=True)[1])
+        descend(h, tgt, BV_SPEC, KP, OptimConfig(max_iters=3))
+        assert _only_cached(h) and only_cached(tgt)
 
 
 class TestContinuation:
@@ -498,6 +526,51 @@ class TestContinuation:
             rep = continuation(init_linear(src, tgt, 6), tgt, spec, KP, cfg)
             assert rep.iters_per_stage == [2, 2, 2]
             assert rep.objective_trace == pytest.approx(trace, rel=1e-12)
+
+    def test_stage_boundaries_build_no_kernel(self, rng, monkeypatch,
+                                              builds):
+        # H does not depend on eps: after the first stage's start, neither
+        # the eps_min re-evaluations nor the later stages' starts build a
+        # kernel matrix, and the recorded values are a fresh objective's
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        objective_, gradient_ = optimize.objective, optimize.gradient
+        descend_ = optimize.descend
+        unbounded, finals = [], []
+
+        def objective(*args, bound=None):
+            before = len(builds)
+            out = objective_(*args, bound=bound)
+            if bound is None:
+                unbounded.append(len(builds) - before)
+            return out
+
+        def gradient(*args):
+            before = len(builds)
+            g = gradient_(*args)
+            assert len(builds) == before
+            return g
+
+        def descend(*args):
+            rep = descend_(*args)
+            finals.append(rep.homotopy)
+            return rep
+
+        monkeypatch.setattr(optimize, "objective", objective)
+        monkeypatch.setattr(optimize, "gradient", gradient)
+        monkeypatch.setattr(optimize, "descend", descend)
+        cfg = OptimConfig(max_iters=5)
+        rep = continuation(init_constant(src, 5), tgt, BV_SPEC, KP, cfg)
+        assert rep.iters_per_stage == [5, 5, 5]
+        # stage start, eps_min re-evaluation, for each of the three stages
+        assert unbounded == [1, 0, 0, 0, 0, 0]
+        for h, eps, record in zip(finals, cfg.eps_schedule,
+                                  rep.stage_objectives):
+            fresh = Homotopy(h.grid.copy())
+            assert record["objective"] == objective_(
+                fresh, tgt, replace(BV_SPEC, eps=eps), KP)[0]
+            assert record["objective_at_min_eps"] == objective_(
+                fresh, tgt, replace(BV_SPEC, eps=cfg.eps_schedule[-1]),
+                KP)[0]
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -574,3 +647,19 @@ class TestInitializers:
             for s in range(tgt.n)]
         got = float(np.sum(np.linalg.norm(aligned.nodes - src.nodes, axis=1)))
         assert got == pytest.approx(min(costs))
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (KernelParams, "sigma", np.nan), (KernelParams, "sigma", np.inf),
+    (KernelParams, "delta", np.nan), (MetricSpec, "eps", np.nan),
+    (MetricSpec, "eps", np.inf), (MetricSpec, "weights", (1, np.nan, 1)),
+    (MetricSpec, "weights", (1, np.inf, 1)), (OptimConfig, "tau0", np.nan),
+    (OptimConfig, "tau0", np.inf), (OptimConfig, "grad_tol", np.nan),
+    (OptimConfig, "grad_tol", np.inf),
+    (OptimConfig, "eps_schedule", (np.nan,)),
+    (OptimConfig, "eps_schedule", (np.inf, 1e-2))],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_settings_reject_non_finite(cls, field, value):
+    # NaN passes a plain "x <= 0" test, so each validator checks finiteness
+    with pytest.raises(ValueError, match="finite"):
+        cls(**{field: value})
