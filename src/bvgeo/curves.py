@@ -48,9 +48,11 @@ def rot90(v: np.ndarray) -> np.ndarray:
 
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x, y> over the last, length-2 axis: np.sum's (0 + x0 y0) + x1 y1,
-    bit for bit, without the per-call cost of a reduction over that axis."""
+    bit for bit, without the per-call cost of a reduction over that axis.
+    A square x0 x0 is never -0.0, so for y is x the 0 + is left out."""
     out = x[..., 0] * y[..., 0]
-    out += 0.0
+    if y is not x:
+        out += 0.0
     out += x[..., 1] * y[..., 1]
     return out
 
@@ -58,7 +60,12 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def inner_cm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``inner`` for coordinate-major arrays, whose leading axis is the
     length-2 one: the same bits, each product running over a whole block
-    of one coordinate."""
+    of one coordinate.  For y is x both squares are one product."""
+    if y is x:
+        sq = np.square(x)
+        out = sq[0]
+        out += sq[1]
+        return out
     out = x[0] * y[0]
     out += 0.0
     out += x[1] * y[1]
@@ -218,10 +225,13 @@ def first_slow_segment(lengths: np.ndarray, min_speed=None):
     or None.  The default threshold is MIN_SPEED_REL * length of that curve.
     """
     if min_speed is None:
-        min_speed = MIN_SPEED_REL * np.sum(lengths, axis=1, keepdims=True)
+        min_speed = MIN_SPEED_REL * np.add.reduce(lengths, axis=1,
+                                                  keepdims=True)
     n = lengths.shape[1]
-    bad = np.flatnonzero(n * lengths <= min_speed)
-    return divmod(int(bad[0]), n) if bad.size else None
+    slow = n * lengths <= min_speed
+    if not slow.any():
+        return None
+    return divmod(int(np.flatnonzero(slow)[0]), n)
 
 
 def validate_immersion(curve: PolyCurve, min_speed: float | None = None):

@@ -106,6 +106,15 @@ class EquivalenceConstants:
 # coordinate-major arrays, which the caller owns; a caller that holds its
 # data coordinate-major (``paths.step_powers``) passes views in too, so
 # neither conversion copies.  The node axis is the last one and cyclic.
+#
+# Without grad (the value pass of every Armijo trial) a kernel does only
+# the work its values need, with the bits of the plain form: it allocates
+# no partial state (H2 builds its node masses only when a term reads
+# them), it starts the value from its first weighted term (each is a sum
+# of non-negative numbers, so 0.0 + term changes no bit), it sums with
+# np.add.reduce (what np.sum runs, without its wrapper), squares skip the
+# + 0.0 of ``inner_cm``, and products overwrite operands that only the
+# partials would read again.
 # ---------------------------------------------------------------------------
 
 def _adj_fwd(g: np.ndarray) -> np.ndarray:
@@ -130,6 +139,18 @@ def _entry(chords, coeffs):
     return chords.transpose(2, 0, 1), v, a
 
 
+def _total(terms, count: int) -> np.ndarray:
+    """The sum of the weighted terms in order, begun from the first one:
+    each is a sum of non-negative numbers, so adding it to 0.0 first would
+    change no bit.  Zeros of the given count when there is no term."""
+    if not terms:
+        return np.zeros(count)
+    value = terms[0]
+    for term in terms[1:]:
+        value += term
+    return value
+
+
 def bv2_norm_and_partials(chords: np.ndarray, coeffs: np.ndarray,
                           weights, eps: float, grad: bool = True):
     """Weighted BV2 norms w0*J0 + w1*J1 + w2*J2 of S fields on S curves,
@@ -142,14 +163,16 @@ def bv2_norm_and_partials(chords: np.ndarray, coeffs: np.ndarray,
     mu = eps / d.shape[-1]
     w0, w1, w2 = weights
     phi_d = _norm(d, mu)                   # |d_i|_{eps/n}
-    value = np.zeros(d.shape[1])
+    terms = []
     g_nodes = np.zeros(d.shape) if grad else None
     g_coeffs = np.zeros(v.shape) if grad else None
 
     if w0:
         phi_v = _norm(v, eps)
-        pair = phi_v + cyclic_shift(phi_v, -1, -1)
-        value += w0 * 0.5 * np.sum(phi_d * pair, axis=1)
+        pair = cyclic_shift(phi_v, -1, -1)
+        pair += phi_v
+        terms.append(w0 * 0.5 * np.add.reduce(
+            np.multiply(pair, phi_d, out=None if grad else pair), axis=1))
         if grad:
             # via d_i
             P = 0.5 * pair * d
@@ -166,16 +189,16 @@ def bv2_norm_and_partials(chords: np.ndarray, coeffs: np.ndarray,
 
     if w1:
         phi_a = _norm(a, mu)
-        value += w1 * np.sum(phi_a, axis=1)
+        terms.append(w1 * np.add.reduce(phi_a, axis=1))
         if grad:
             g_coeffs += w1 * _adj_fwd(a / phi_a)
 
     if w2:
-        u = a / phi_d
+        u = np.divide(a, phi_d, out=None if grad else a)
         b = cyclic_shift(u, -1, -1)
         b -= u
         phi_b = _norm(b, eps)
-        value += w2 * np.sum(phi_b, axis=1)
+        terms.append(w2 * np.add.reduce(phi_b, axis=1))
         if grad:
             g = b
             g /= phi_b                     # d phi_b / d b
@@ -190,6 +213,7 @@ def bv2_norm_and_partials(chords: np.ndarray, coeffs: np.ndarray,
             S /= phi_d ** 3
             g_nodes += w2 * _adj_fwd(S)
 
+    value = _total(terms, d.shape[1])
     if not grad:
         return value, None, None
     return value, g_nodes.transpose(1, 2, 0), g_coeffs.transpose(1, 2, 0)
@@ -203,30 +227,33 @@ def h2_sq_and_partials(chords: np.ndarray, coeffs: np.ndarray,
     mu = eps / d.shape[-1]
     w0, w1, w2 = weights
     ell = _norm(d, mu)
-    if np.any(ell == 0.0):
+    if not ell.all():
         raise ZeroDivisionError("zero-length segment in H2 norm")
-    mass = cyclic_shift(ell, 1, -1)
-    mass += ell
-    mass *= 0.5                            # lumped node masses
+    if w2 or grad and w0:
+        mass = cyclic_shift(ell, 1, -1)
+        mass += ell
+        mass *= 0.5                        # lumped node masses
 
-    value = np.zeros(d.shape[1])
+    terms = []
     g_coeffs = np.zeros(v.shape) if grad else None
     # accumulated d/d ell_i, mapped to nodes once at the end
-    g_ell = np.zeros_like(ell)
+    g_ell = np.zeros_like(ell) if grad else None
 
     if w0:
         vsq = inner_cm(v, v)
         pair = cyclic_shift(vsq, -1, -1)
         pair += vsq
         pair *= 0.5
-        value += w0 * np.sum(ell * pair, axis=1)
+        terms.append(w0 * np.add.reduce(
+            np.multiply(pair, ell, out=None if grad else pair), axis=1))
         if grad:
             g_ell += w0 * pair
             g_coeffs += w0 * 2.0 * mass * v
 
     if w1:
         asq = inner_cm(a, a)
-        value += w1 * np.sum(asq / ell, axis=1)
+        terms.append(w1 * np.add.reduce(
+            np.divide(asq, ell, out=None if grad else asq), axis=1))
         if grad:
             t = 2.0 * a
             t /= ell
@@ -236,11 +263,12 @@ def h2_sq_and_partials(chords: np.ndarray, coeffs: np.ndarray,
             g_ell += t
 
     if w2:
-        u = a / ell
+        u = np.divide(a, ell, out=None if grad else a)
         jump = cyclic_shift(u, 1, -1)
         np.subtract(u, jump, out=jump)     # at node i: u_i - u_{i-1}
         jsq = inner_cm(jump, jump)
-        value += w2 * np.sum(jsq / mass, axis=1)
+        terms.append(w2 * np.add.reduce(
+            np.divide(jsq, mass, out=None if grad else jsq), axis=1))
         if grad:
             # wrt u_k: in jump_k (+) and jump_{k+1} (-)
             t = 2.0 * jump
@@ -260,6 +288,7 @@ def h2_sq_and_partials(chords: np.ndarray, coeffs: np.ndarray,
             t += dm
             g_ell += w2 * t
 
+    value = _total(terms, d.shape[1])
     if not grad:
         return value, None, None
     dl_dd = d / ell                        # d ell_i / d d_i

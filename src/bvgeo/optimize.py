@@ -12,7 +12,8 @@ rejection, which keeps all iterates inside the open set of immersed curves.
 A trial is evaluated immersion, then energy, then a lower bound on its
 match term, then match, and stops at the first of them that rejects it
 (see ``objective``'s bound).  One endpoint object (``KernelMatch``)
-serves a whole run and remembers the last curve it evaluated.
+serves a whole run and remembers the last curve it evaluated and the
+current iterate's last slice.
 """
 
 from __future__ import annotations
@@ -119,20 +120,27 @@ def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
 class KernelMatch:
     """The endpoint term H(., target) of ``matching`` for one run.
 
-    It keeps the last curve it evaluated (by identity: a PolyCurve is
-    immutable) with its H and either its kernel, until the gradient there
-    consumes it, or its gradient; and the ``floor_constants`` of its last
-    gradient's curve, about which ``descend`` takes its trials.
+    It keeps two curves (by identity: a PolyCurve is immutable).  One is
+    the last curve it evaluated, with its H and kernel, until the gradient
+    there consumes the kernel.  The other is its last gradient's curve,
+    about which ``descend`` takes its trials, with its H, gradient and
+    K l_b; ``match_floor``'s constants there are built by the first trial
+    that needs them.
     """
 
     def __init__(self, target: PolyCurve, params: KernelParams):
         self.target, self.params = target, params
-        self._curve = self._kernel = self._grad = self._floor = None
+        self._target_length = length(target)
+        self._curve = self._kernel = None
+        self._iterate = self._iterate_value = None
+        self._grad = self._kl = self._floor = None
 
     def value(self, curve: PolyCurve) -> float:
         """H(curve, target) as ``match_distance`` computes it."""
+        if curve is self._iterate:
+            return self._iterate_value
         if curve is not self._curve:
-            self._kernel = self._grad = None
+            self._kernel = None
             self._value, self._kernel = match_distance(
                 curve, self.target, self.params, return_kernel=True)
             self._curve = curve
@@ -140,14 +148,16 @@ class KernelMatch:
 
     def gradient(self, curve: PolyCurve) -> np.ndarray:
         """The match gradient at curve, read-only."""
-        self.value(curve)
-        if self._grad is None:
-            kernel, self._kernel = self._kernel, None
-            self._floor = floor_constants(curve, self.target, self.params,
-                                          self._value, kernel[2][:, 0])
+        if curve is not self._iterate:
+            value = self.value(curve)
+            kernel = self._kernel
+            self._curve = self._kernel = self._floor = None
             self._grad = match_gradient(curve, self.target, self.params,
                                         kernel)
             self._grad.setflags(write=False)
+            # column 0 of K @ B, which match_gradient leaves as it was
+            self._iterate, self._iterate_value = curve, value
+            self._kl = kernel[2][:, 0]
         return self._grad
 
     def rejects(self, h: Homotopy, energy: float, bound: float) -> bool:
@@ -155,25 +165,46 @@ class KernelMatch:
         ``match_floor``'s bound about the last gradient's curve: as L is below
         the computed H and rounding is monotone, energy + H > bound too."""
         lengths = h.chord_lengths[-1]
-        total = float(np.sum(lengths))
-        return (energy - match_slack(h.n, self.target.n, total,
-                                     length(self.target)) > bound
-                or self._floor is not None
-                and energy + match_floor(self._floor, h.grid[-1], lengths,
-                                         total) > bound)
+        total = float(lengths.sum())
+        if energy - match_slack(h.n, self.target.n, total,
+                                self._target_length) > bound:
+            return True
+        if self._iterate is None:
+            return False
+        if self._floor is None:
+            self._floor = floor_constants(self._iterate, self.target,
+                                          self.params, self._iterate_value,
+                                          self._kl)
+        return energy + match_floor(self._floor, h.grid[-1], lengths,
+                                    total) > bound
+
+
+def _endpoint(endpoint, target: PolyCurve, params: KernelParams):
+    """endpoint, or ``KernelMatch(target, params)`` when it is None.  A
+    KernelMatch passed in must be of this target and these params."""
+    if endpoint is None:
+        return KernelMatch(target, params)
+    if isinstance(endpoint, KernelMatch) and (
+            endpoint.target is not target
+            or endpoint.params is not params and endpoint.params != params):
+        raise ValueError("the endpoint's target or kernel params are not "
+                         "the ones passed beside it")
+    return endpoint
 
 
 def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
               params: KernelParams, endpoint=None, *, bound=None):
     """Total objective with its two parts: (total, energy_part, match_part).
 
-    The endpoint defaults to ``KernelMatch(target, params)``.  A trial that
-    it ``rejects`` at ``bound`` (a line search's Armijo threshold) gives
-    (inf, energy, nan) without its match term or a last-slice curve.
+    The endpoint defaults to ``KernelMatch(target, params)``; a
+    KernelMatch of another target or other params raises ValueError.  A
+    trial that it ``rejects`` at ``bound`` (a line search's Armijo
+    threshold) gives (inf, energy, nan) without its match term or a
+    last-slice curve.
     """
     powers, _ = _step_powers(h, spec, grad=False)
-    energy = float(np.sum(powers)) / (h.N - 1)
-    endpoint = endpoint or KernelMatch(target, params)
+    energy = float(powers.sum()) / (h.N - 1)
+    endpoint = _endpoint(endpoint, target, params)
     if bound is not None and endpoint.rejects(h, energy, bound):
         return np.inf, energy, np.nan
     match = float(endpoint.value(h.slice_curve(h.N - 1)))
@@ -190,7 +221,7 @@ def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     if spec.family == BV2 and spec.eps == 0.0:
         raise ValueError("BV2 gradient requires eps > 0 (objective is "
                          "nonsmooth at eps = 0)")
-    endpoint = endpoint or KernelMatch(target, params)
+    endpoint = _endpoint(endpoint, target, params)
     # the match term first: it frees the kernel its trial kept before the
     # energy partials allocate theirs
     match_grad = endpoint.gradient(h.slice_curve(h.N - 1))
@@ -207,7 +238,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     """Armijo-backtracking gradient descent at the spec's fixed eps."""
     report = OptimReport(homotopy=h0)
     h = h0
-    endpoint = endpoint or KernelMatch(target, params)
+    endpoint = _endpoint(endpoint, target, params)
 
     f, e_part, m_part = objective(h, target, spec, params, endpoint)
     g = gradient(h, target, spec, params, endpoint)
@@ -273,7 +304,7 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     re-evaluated at the schedule's smallest eps, so stages are comparable.
     One endpoint (by default ``KernelMatch``) serves every stage.
     """
-    endpoint = endpoint or KernelMatch(target, params)
+    endpoint = _endpoint(endpoint, target, params)
     eps_min = cfg.eps_schedule[-1]
     merged = OptimReport(homotopy=h0)
     h = h0

@@ -154,13 +154,16 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
         norm, dn, dv = bv2(*args)
         power = norm
         if spec.exponent == 2:
-            power, coef = norm ** 2, 2.0 * norm
+            power = norm ** 2
+            if grad:
+                coef = 2.0 * norm
     else:
         power, dn, dv = h2(*args)
         if spec.exponent == 1:
             power = np.sqrt(power)
-            coef = np.divide(0.5, power, out=np.zeros_like(power),
-                             where=power > 0.0)
+            if grad:
+                coef = np.divide(0.5, power, out=np.zeros_like(power),
+                                 where=power > 0.0)
     if not grad:
         return power, None
     # the kernels' partials are their own fresh arrays: scaled in place

@@ -8,7 +8,8 @@ from bvgeo import (CurveError, DegenerateSegmentError, Homotopy, PolyCurve,
                    TangentField, constant_speed_resample, frenet_frames, length,
                    normalize_to_unit_square, signed_area, smoothed_norm,
                    validate_immersion)
-from bvgeo.curves import _point_at_arclength, cyclic_shift, inner
+from bvgeo.curves import (_point_at_arclength, cyclic_shift, inner,
+                          inner_cm)
 from conftest import fourier_curve
 
 
@@ -209,9 +210,9 @@ def _array_pairs(draw):
 
 
 class TestVectorHelpers:
-    """inner and cyclic_shift stand in for np.sum over the length-2 axis and
-    for np.roll on the evaluation path; every bit must survive, signed zeros,
-    infinities and NaNs included."""
+    """inner, inner_cm and cyclic_shift stand in for np.sum over the
+    length-2 axis and for np.roll on the evaluation path; every bit must
+    survive, signed zeros, infinities and NaNs included, also in squares."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_array_pairs())
@@ -222,8 +223,11 @@ class TestVectorHelpers:
         x, y = pair
         with np.errstate(all="ignore"):
             if x.shape[-1] == 2:
-                assert (inner(x, y).tobytes()
-                        == np.sum(x * y, axis=-1).tobytes())
+                xm, ym = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+                for a, b, am, bm in [(x, y, xm, ym), (x, x, xm, xm)]:
+                    want = np.sum(a * b, axis=-1).tobytes()
+                    assert inner(a, b).tobytes() == want
+                    assert inner_cm(am, bm).tobytes() == want
         for axis in range(x.ndim):
             for shift in (1, -1):
                 assert (cyclic_shift(x, shift, axis).tobytes()

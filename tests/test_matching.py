@@ -8,6 +8,7 @@ from bvgeo import (KernelParams, PolyCurve, constant_speed_resample,
                    match_gradient)
 from bvgeo.matching import floor_constants, match_floor, match_slack
 from bvgeo.optimize import KernelMatch
+from bvgeo.paths import Homotopy
 from conftest import fourier_curve, only_cached
 
 KP = KernelParams(sigma=0.5, delta=0.05)
@@ -169,9 +170,12 @@ class TestMatchFloor:
         b = fourier_curve(rng, 33, center=(0.55, 0.45))
         h0 = match_distance(a, b, KP)
         assert _constants(a, b, KP)[1] == h0
-        # the endpoint's gradient builds the same constants
+        # the first trial about the endpoint's gradient builds the same
+        # constants
         endpoint = KernelMatch(b, KP)
         endpoint.gradient(a)
+        endpoint.rejects(Homotopy(np.stack([a.nodes, a.nodes])), 0.0,
+                         np.inf)
         for got, want in zip(endpoint._floor, _constants(a, b, KP)):
             assert np.array_equal(got, want)
         # at a itself the floor sits just below H, by the two slacks
@@ -245,8 +249,12 @@ class TestKeptKernel:
         endpoint = KernelMatch(b, KP)
         assert endpoint.gradient(a).tobytes() == want[1].tobytes()
         assert endpoint.value(a) == want[0] and len(builds) == 2
-        # another curve replaces what is kept: a's gradient builds again
+        # a later trial's curve leaves the gradient's curve kept
         endpoint.value(a2)
+        assert endpoint.gradient(a).tobytes() == want[1].tobytes()
+        assert endpoint.value(a) == want[0] and len(builds) == 3
+        # another gradient's curve replaces it: a's gradient builds again
+        endpoint.gradient(a2)
         assert endpoint.gradient(a).tobytes() == want[1].tobytes()
         assert len(builds) == 4
         assert not endpoint.gradient(a).flags.writeable

@@ -77,6 +77,21 @@ class TestObjective:
         assert match == pytest.approx(hook.value(h.slice_curve(h.N - 1)))
 
 
+    def test_endpoint_of_other_target_or_params_refused(self, rng):
+        h = Homotopy(smooth_homotopy(rng, 4, 16))
+        t1, t2 = fourier_curve(rng, 16), fourier_curve(rng, 16)
+        for endpoint in (KernelMatch(t1, KP),
+                         KernelMatch(t2, KernelParams(sigma=0.4))):
+            with pytest.raises(ValueError):
+                objective(h, t2, BV_SPEC, KP, endpoint)
+            with pytest.raises(ValueError):
+                gradient(h, t2, BV_SPEC, KP, endpoint)
+        # equal params in another object are the same params
+        same = KernelMatch(t2, KernelParams(KP.sigma, KP.delta))
+        assert objective(h, t2, BV_SPEC, KP, same) \
+            == objective(h, t2, BV_SPEC, KP)
+
+
 class TestTargetGeometryCache:
     def test_alternating_targets_match_fresh_copies(self, rng):
         # each target keeps its own matching blocks, and the homotopy's
@@ -420,6 +435,30 @@ class TestBoundedTrials:
         assert objective_(h, tgt, BV_SPEC, KP, refuse,
                           bound=want[0] + 1.0)[0] == np.inf
 
+    def test_floor_constants_built_by_the_first_trial(self, rng,
+                                                      monkeypatch):
+        # fd_check and a gradient that no trial follows build no floor;
+        # the first bounded trial about a gradient builds it, once
+        h = Homotopy(smooth_homotopy(rng, 5, 20))
+        tgt = fourier_curve(rng, 20)
+        floor_constants_, built = optimize.floor_constants, []
+
+        def floor_constants(*args):
+            built.append(None)
+            return floor_constants_(*args)
+
+        monkeypatch.setattr(optimize, "floor_constants", floor_constants)
+        fd_check(h, tgt, BV_SPEC, KP, num_coords=3)
+        endpoint = KernelMatch(tgt, KP)
+        total, _, _ = objective(h, tgt, BV_SPEC, KP, endpoint)
+        gradient(h, tgt, BV_SPEC, KP, endpoint)
+        assert not built
+        for _ in range(2):
+            trial = Homotopy(h.grid)
+            assert objective(trial, tgt, BV_SPEC, KP, endpoint,
+                             bound=total - 1e-9)[0] == np.inf
+        assert len(built) == 1
+
     def test_floor_rejection_leaves_last_slice_alone(self, rng):
         h = Homotopy(smooth_homotopy(rng, 5, 20))
         tgt = fourier_curve(rng, 20)
@@ -529,6 +568,19 @@ class TestContinuation:
 
     def test_stage_boundaries_build_no_kernel(self, rng, monkeypatch,
                                               builds):
+        rep = self._stage_boundaries(rng, monkeypatch, builds, BV_SPEC, 5)
+        assert rep.iters_per_stage == [5, 5, 5]
+
+    def test_stalled_stages_build_no_kernel(self, rng, monkeypatch, builds):
+        # the stall pair of test_unchanged_grid_stalls: every stage ends
+        # after a trial, so the endpoint evaluated a trial's curve last
+        rep = self._stage_boundaries(rng, monkeypatch, builds,
+                                     replace(H2_SPEC, exponent=1), 20)
+        assert rep.termination == "stalled"
+        assert rep.iters_per_stage == [0, 0, 0]
+
+    @staticmethod
+    def _stage_boundaries(rng, monkeypatch, builds, spec, iters):
         # H does not depend on eps: after the first stage's start, neither
         # the eps_min re-evaluations nor the later stages' starts build a
         # kernel matrix, and the recorded values are a fresh objective's
@@ -558,19 +610,19 @@ class TestContinuation:
         monkeypatch.setattr(optimize, "objective", objective)
         monkeypatch.setattr(optimize, "gradient", gradient)
         monkeypatch.setattr(optimize, "descend", descend)
-        cfg = OptimConfig(max_iters=5)
-        rep = continuation(init_constant(src, 5), tgt, BV_SPEC, KP, cfg)
-        assert rep.iters_per_stage == [5, 5, 5]
+        cfg = OptimConfig(max_iters=iters)
+        rep = continuation(init_constant(src, 5), tgt, spec, KP, cfg)
         # stage start, eps_min re-evaluation, for each of the three stages
         assert unbounded == [1, 0, 0, 0, 0, 0]
         for h, eps, record in zip(finals, cfg.eps_schedule,
                                   rep.stage_objectives):
             fresh = Homotopy(h.grid.copy())
             assert record["objective"] == objective_(
-                fresh, tgt, replace(BV_SPEC, eps=eps), KP)[0]
+                fresh, tgt, replace(spec, eps=eps), KP)[0]
             assert record["objective_at_min_eps"] == objective_(
-                fresh, tgt, replace(BV_SPEC, eps=cfg.eps_schedule[-1]),
+                fresh, tgt, replace(spec, eps=cfg.eps_schedule[-1]),
                 KP)[0]
+        return rep
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,15 @@ class TestHomotopy:
         h = Homotopy(grid)
         assert h.validate_slices() == (2, 5)
 
+    def test_validate_slices_reports_first_of_several(self, rng):
+        grid = smooth_homotopy(rng, 5, 20)
+        # collapsed chords on slices 1 and 3, three of them on slice 1
+        for i, j in [(3, 2), (1, 14), (1, 7), (3, 9), (1, 11)]:
+            grid[i, j] = grid[i, j + 1]
+        assert Homotopy(grid).validate_slices() == (1, 7)
+        grid[1] = smooth_homotopy(rng, 5, 20)[1]
+        assert Homotopy(grid).validate_slices() == (3, 2)
+
 
     def test_slice_curve_one_object_per_index(self, rng):
         h = Homotopy(smooth_homotopy(rng, 4, 12))
