@@ -25,7 +25,7 @@ from .metrics import MetricSpec
 from .optimize import (TRACE_COLUMNS, LineSearchError, align_start_node,
                        continuation, fd_check, init_constant, init_linear,
                        objective)
-from .paths import Homotopy, make_translation_path, path_energy
+from .paths import Homotopy, path_energy
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -234,7 +234,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, CurveError, OSError, ValueError) as exc:
+    # ZeroDivisionError: the H2 norm of a stored slice with a repeated node
+    except (ParseError, CurveError, OSError, ValueError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -82,18 +82,14 @@ def load_curve_csv(path) -> PolyCurve:
     return _validate_nodes(rows, str(path))
 
 
-def load_curve(path, fmt: str = "auto") -> PolyCurve:
-    """Parse a curve file; fmt is 'json', 'csv', or 'auto' (by extension)."""
+def load_curve(path) -> PolyCurve:
+    """Parse a curve file: CSV if its suffix is .csv, else JSON."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    if fmt == "auto":
-        fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    if fmt == "json":
-        return load_curve_json(path)
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         return load_curve_csv(path)
-    raise ValueError(f"unknown curve format {fmt!r}")
+    return load_curve_json(path)
 
 
 def save_curve(curve: PolyCurve, path) -> None:

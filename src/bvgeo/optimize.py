@@ -12,8 +12,9 @@ rejection, which keeps all iterates inside the open set of immersed curves.
 A trial is evaluated immersion, then energy, then a lower bound on its
 match term, then match, and stops at the first of them that rejects it
 (see ``objective``'s bound).  One endpoint object (``KernelMatch``)
-serves a whole run and remembers the last curve it evaluated and the
-current iterate's last slice.
+serves a whole run and keeps two records: the last trial's curve with its
+H and kernel, and the iterate's last slice with its H, gradient and match
+floor, the floor built with the gradient.
 """
 
 from __future__ import annotations
@@ -117,66 +118,62 @@ def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
                        (bv2_norm_and_partials, h2_sq_and_partials))
 
 
+# KernelMatch's empty records: no curve is None
+_NO_TRIAL, _NO_ITERATE = (None,) * 3, (None,) * 4
+
+
 class KernelMatch:
     """The endpoint term H(., target) of ``matching`` for one run.
 
-    It keeps two curves (by identity: a PolyCurve is immutable).  One is
-    the last curve it evaluated, with its H and kernel, until the gradient
-    there consumes the kernel.  The other is its last gradient's curve,
-    about which ``descend`` takes its trials, with its H, gradient and
-    K l_b; ``match_floor``'s constants there are built by the first trial
-    that needs them.
+    It keeps two records, each of one curve (by identity: a PolyCurve is
+    immutable).  The last trial is (curve, H, kernel), the last curve it
+    evaluated, kept until a gradient there takes the kernel.  The iterate
+    is (curve, H, gradient, floor), its last gradient's curve, about which
+    ``descend`` takes its trials, with ``match_floor``'s constants there,
+    built from the kernel with the gradient.
     """
 
     def __init__(self, target: PolyCurve, params: KernelParams):
         self.target, self.params = target, params
         self._target_length = length(target)
-        self._curve = self._kernel = None
-        self._iterate = self._iterate_value = None
-        self._grad = self._kl = self._floor = None
+        self._trial, self._iterate = _NO_TRIAL, _NO_ITERATE
 
     def value(self, curve: PolyCurve) -> float:
         """H(curve, target) as ``match_distance`` computes it."""
-        if curve is self._iterate:
-            return self._iterate_value
-        if curve is not self._curve:
-            self._kernel = None
-            self._value, self._kernel = match_distance(
-                curve, self.target, self.params, return_kernel=True)
-            self._curve = curve
-        return self._value
+        if curve is self._iterate[0]:
+            return self._iterate[1]
+        if curve is not self._trial[0]:
+            # the kept kernel goes before the next one is built
+            self._trial = _NO_TRIAL
+            self._trial = (curve, *match_distance(
+                curve, self.target, self.params, return_kernel=True))
+        return self._trial[1]
 
     def gradient(self, curve: PolyCurve) -> np.ndarray:
         """The match gradient at curve, read-only."""
-        if curve is not self._iterate:
+        if curve is not self._iterate[0]:
             value = self.value(curve)
-            kernel = self._kernel
-            self._curve = self._kernel = self._floor = None
-            self._grad = match_gradient(curve, self.target, self.params,
-                                        kernel)
-            self._grad.setflags(write=False)
+            kernel = self._trial[2]
+            self._trial = _NO_TRIAL
+            grad = match_gradient(curve, self.target, self.params, kernel)
+            grad.setflags(write=False)
             # column 0 of K @ B, which match_gradient leaves as it was
-            self._iterate, self._iterate_value = curve, value
-            self._kl = kernel[2][:, 0]
-        return self._grad
+            self._iterate = (curve, value, grad, floor_constants(
+                curve, self.target, self.params, value, kernel[2][:, 0]))
+        return self._iterate[2]
 
     def rejects(self, h: Homotopy, energy: float, bound: float) -> bool:
         """Whether energy + L > bound, L being ``match_slack``'s -slack or
-        ``match_floor``'s bound about the last gradient's curve: as L is below
-        the computed H and rounding is monotone, energy + H > bound too."""
+        ``match_floor``'s bound about the iterate: as L is below the
+        computed H and rounding is monotone, energy + H > bound too."""
         lengths = h.chord_lengths[-1]
         total = float(lengths.sum())
         if energy - match_slack(h.n, self.target.n, total,
                                 self._target_length) > bound:
             return True
-        if self._iterate is None:
-            return False
-        if self._floor is None:
-            self._floor = floor_constants(self._iterate, self.target,
-                                          self.params, self._iterate_value,
-                                          self._kl)
-        return energy + match_floor(self._floor, h.grid[-1], lengths,
-                                    total) > bound
+        floor = self._iterate[3]
+        return floor is not None and energy + match_floor(
+            floor, h.grid[-1], lengths, total) > bound
 
 
 def _endpoint(endpoint, target: PolyCurve, params: KernelParams):

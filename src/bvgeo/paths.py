@@ -91,9 +91,9 @@ class Homotopy:
             curve = self._slices[i] = PolyCurve(self.grid[i])
         return curve
 
-    def validate_slices(self, min_speed: float | None = None):
+    def validate_slices(self):
         """First (slice, segment) failing ``validate_immersion``, or None."""
-        return first_slow_segment(self.chord_lengths, min_speed)
+        return first_slow_segment(self.chord_lengths)
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,18 @@ class TestHomotopyFiles:
         assert main(["energy", str(p)]) == 1
         assert str(p) in capsys.readouterr().err
 
+    def test_energy_repeated_node_h2_exits_1(self, tmp_path, capsys):
+        # a stored slice with a zero-length segment has no H2 norm at eps 0
+        theta = 2 * np.pi * np.arange(8) / 8
+        grid = np.repeat(np.stack([np.cos(theta), np.sin(theta)], 1)[None],
+                         3, axis=0)
+        grid[1, 3] = grid[1, 2]
+        p = tmp_path / "repeated.homotopy.json"
+        save_homotopy(Homotopy(grid), p)
+        assert main(["energy", str(p), "--metric", "h2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero-length segment" in err
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{",
         b"[" * 100000 + b"]" * 100000,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bvgeo import (KernelParams, PolyCurve, constant_speed_resample,
                    currents_distance_sq, kernel, length, match_distance,
                    match_gradient)
+from bvgeo import optimize
 from bvgeo.matching import floor_constants, match_floor, match_slack
 from bvgeo.optimize import KernelMatch
 from bvgeo.paths import Homotopy
@@ -165,18 +166,26 @@ class TestMatchFloor:
         a2 = PolyCurve(a.nodes + move)
         assert match_distance(a2, b, kp) >= _trial_floor(a, a2, b, kp)
 
-    def test_value_is_match_distance(self, rng):
+    def test_value_is_match_distance(self, rng, monkeypatch):
         a = fourier_curve(rng, 40)
         b = fourier_curve(rng, 33, center=(0.55, 0.45))
         h0 = match_distance(a, b, KP)
         assert _constants(a, b, KP)[1] == h0
-        # the first trial about the endpoint's gradient builds the same
-        # constants
+        # the endpoint's gradient builds the same constants, and a trial
+        # about it reads them
+        read = []
+
+        def floor(constants, *args):
+            read.append(constants)
+            return match_floor(constants, *args)
+
+        monkeypatch.setattr(optimize, "match_floor", floor)
         endpoint = KernelMatch(b, KP)
         endpoint.gradient(a)
         endpoint.rejects(Homotopy(np.stack([a.nodes, a.nodes])), 0.0,
                          np.inf)
-        for got, want in zip(endpoint._floor, _constants(a, b, KP)):
+        (constants,) = read
+        for got, want in zip(constants, _constants(a, b, KP)):
             assert np.array_equal(got, want)
         # at a itself the floor sits just below H, by the two slacks
         slack = match_slack(40, 33, length(a), length(b))

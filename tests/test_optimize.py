@@ -435,29 +435,44 @@ class TestBoundedTrials:
         assert objective_(h, tgt, BV_SPEC, KP, refuse,
                           bound=want[0] + 1.0)[0] == np.inf
 
-    def test_floor_constants_built_by_the_first_trial(self, rng,
-                                                      monkeypatch):
-        # fd_check and a gradient that no trial follows build no floor;
-        # the first bounded trial about a gradient builds it, once
+    def test_floor_constants_built_with_the_gradient(self, rng,
+                                                     monkeypatch):
+        # a gradient builds the floor constants once, a bounded trial about
+        # it builds none, and a gradient at another curve replaces them
         h = Homotopy(smooth_homotopy(rng, 5, 20))
+        h2 = Homotopy(smooth_homotopy(rng, 5, 20))
         tgt = fourier_curve(rng, 20)
-        floor_constants_, built = optimize.floor_constants, []
+        floor_constants_, match_floor_ = (optimize.floor_constants,
+                                          optimize.match_floor)
+        built, read = [], []
 
         def floor_constants(*args):
-            built.append(None)
-            return floor_constants_(*args)
+            built.append(floor_constants_(*args))
+            return built[-1]
+
+        def match_floor(constants, *args):
+            read.append(constants)
+            return match_floor_(constants, *args)
 
         monkeypatch.setattr(optimize, "floor_constants", floor_constants)
-        fd_check(h, tgt, BV_SPEC, KP, num_coords=3)
+        monkeypatch.setattr(optimize, "match_floor", match_floor)
         endpoint = KernelMatch(tgt, KP)
-        total, _, _ = objective(h, tgt, BV_SPEC, KP, endpoint)
-        gradient(h, tgt, BV_SPEC, KP, endpoint)
-        assert not built
-        for _ in range(2):
-            trial = Homotopy(h.grid)
-            assert objective(trial, tgt, BV_SPEC, KP, endpoint,
-                             bound=total - 1e-9)[0] == np.inf
-        assert len(built) == 1
+        for count, hi in enumerate((h, h2), start=1):
+            total, _, _ = objective(hi, tgt, BV_SPEC, KP, endpoint)
+            gradient(hi, tgt, BV_SPEC, KP, endpoint)
+            assert len(built) == count
+            for _ in range(2):
+                assert objective(Homotopy(hi.grid), tgt, BV_SPEC, KP,
+                                 endpoint, bound=total - 1e-9)[0] == np.inf
+                gradient(hi, tgt, BV_SPEC, KP, endpoint)
+            assert len(built) == count and len(read) == 2 * count
+            assert all(constants is built[-1] for constants in read[-2:])
+        # the replacing constants are those of the new iterate's last slice
+        a2 = h2.slice_curve(h2.N - 1)
+        value, (_, _, prod) = match_distance(a2, tgt, KP, return_kernel=True)
+        for got, want in zip(read[-1], floor_constants_(a2, tgt, KP, value,
+                                                        prod[:, 0])):
+            assert np.array_equal(got, want)
 
     def test_floor_rejection_leaves_last_slice_alone(self, rng):
         h = Homotopy(smooth_homotopy(rng, 5, 20))
