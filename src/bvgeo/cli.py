@@ -43,11 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "planar curves under BV2 and second-order Sobolev metrics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_target=True):
+    def add_common(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--source", help="source curve file (JSON or CSV)")
-        if with_target:
-            p.add_argument("--target", help="target curve file (JSON or CSV)")
+        p.add_argument("--target", help="target curve file (JSON or CSV)")
         p.add_argument("--out", help="output path prefix")
         p.add_argument("--metric", dest="family", choices=["bv2", "h2"])
         p.add_argument("--eps-schedule", help="comma-separated eps values")
@@ -85,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    cfg = load_config(args.config) if args.config else RunConfig()
     return apply_settings([(key, value) for key, value in vars(args).items()
                            if key in CONFIG_KEYS and value is not None], cfg)
 
@@ -211,7 +210,7 @@ def _cmd_export_svg(args) -> int:
     target = None
     if cfg.target:
         target = _load_endpoint(cfg.target, cfg, "target")
-    out = cfg.out if getattr(args, "out", None) or cfg.out != "bvgeo_out" \
+    out = cfg.out if args.out or cfg.out != RunConfig.out \
         else str(Path(args.homotopy).with_suffix(".svg"))
     if not out.endswith(".svg"):
         out += ".svg"

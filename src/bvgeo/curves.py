@@ -284,19 +284,21 @@ def _point_at_arclength(curve: PolyCurve, cum: np.ndarray,
     return curve.nodes[idx] + frac[:, None] * curve.chords[idx]
 
 
-def constant_speed_resample(curve: PolyCurve, m: int,
-                            rel_tol: float = 1e-10,
-                            max_passes: int = 200) -> PolyCurve:
+# constant_speed_resample's relative chord-length tolerance and pass limit
+RESAMPLE_REL_TOL, RESAMPLE_MAX_PASSES = 1e-10, 200
+
+
+def constant_speed_resample(curve: PolyCurve, m: int) -> PolyCurve:
     """Retrace the curve with m nodes whose chords all have equal length.
 
     Both the cumulative arclength of a polyline and each correction pass
     are piecewise linear, so every inversion is exact per-segment (no root
     finding).  Starting from equal-arclength spacing, passes redistribute
     the sample positions along the original polyline until the chord
-    lengths agree to rel_tol; on a curve whose chords are already equal the
-    first pass is the identity, which makes the operation idempotent.  New
-    nodes always lie on the original polyline; the first node is kept as
-    the basepoint.
+    lengths agree to RESAMPLE_REL_TOL; on a curve whose chords are already
+    equal the first pass is the identity, which makes the operation
+    idempotent.  New nodes always lie on the original polyline; the first
+    node is kept as the basepoint.
     """
     if m < 3:
         raise CurveError(f"need at least 3 output nodes, got {m}")
@@ -308,12 +310,12 @@ def constant_speed_resample(curve: PolyCurve, m: int,
     # equal-arclength initialization
     s = total * np.arange(m) / m
     nodes = _point_at_arclength(curve, cum, s)
-    for _ in range(max_passes):
+    for _ in range(RESAMPLE_MAX_PASSES):
         diff = cyclic_shift(nodes, -1, 0) - nodes
         chords = np.sqrt(inner(diff, diff))
         cmin = float(np.min(chords))
         cmax = float(np.max(chords))
-        if cmin > 0.0 and cmax / cmin <= 1.0 + rel_tol:
+        if cmin > 0.0 and cmax / cmin <= 1.0 + RESAMPLE_REL_TOL:
             break
         # re-space the arclength positions against the chord profile
         prof = np.concatenate([[0.0], np.cumsum(chords)])

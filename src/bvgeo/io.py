@@ -233,7 +233,7 @@ def apply_settings(settings, base: RunConfig | None = None) -> RunConfig:
         raise ParseError(str(exc)) from exc
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse the flat key = value config document.
 
     Unknown keys are errors (fail-closed); '#' starts a comment.
@@ -250,11 +250,11 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if key not in CONFIG_KEYS:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
         settings.append((key, value))
-    return apply_settings(settings, base)
+    return apply_settings(settings)
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    return parse_config(path.read_text(), base)
+    return parse_config(_read_text(path))

@@ -66,8 +66,10 @@ class KernelParams:
     delta: float = 0.05
 
     def __post_init__(self):
-        if not (0 < self.sigma < math.inf and 0 < self.delta < math.inf):
-            raise ValueError("kernel widths must be positive and finite")
+        if not all(w > 0 and 2.0 ** -1022 <= w * w < math.inf
+                   for w in (self.sigma, self.delta)):
+            raise ValueError("kernel widths must be positive, with finite "
+                             "normal squares: 1.5e-154 to 1.3e154")
 
 
 def kernel(v, w, params: KernelParams) -> float:

@@ -20,13 +20,12 @@ where the last term is the distributional second derivative (node jumps of
 the first derivative) divided by the lumped node mass.
 
 Each family has one batched kernel over S curves, given by their chords d,
-and S fields, stacked as (S, n, 2) arrays; one call covers every step of a
-path.  The kernels compute on coordinate-major (2, S, n) views of those
-arrays (see the note above them).  With ``grad`` a kernel adds the exact partials wrt nodes and
-coefficients (checked against finite differences in the test suite);
-values alone are defined at eps = 0 and at zero velocity, where the BV2
-partials are 0/0.  j0, j1, j2 and the *_tangent_norm* functions are
-single-field wrappers around the kernels.
+and S fields, stacked coordinate-major as (2, S, n) arrays (see the note
+above them); one call covers every step of a path.  With ``grad`` a kernel
+adds the exact partials wrt nodes and coefficients (checked against
+finite differences in the test suite); values alone are defined at eps = 0
+and at zero velocity, where the BV2 partials are 0/0.  j0, j1, j2 and the
+*_tangent_norm* functions are single-field wrappers around the kernels.
 
 Known fault: the smoothed BV2 norm is not monotone in eps.  J2 divides by
 |d|_{eps/n}, so eps > 0 shrinks the arclength derivative, which on rough
@@ -96,16 +95,16 @@ class EquivalenceConstants:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels.  Their geometry argument is the chords d of the S curves
-# (forward node differences); the partials they return are still wrt the
-# nodes, through the adjoint of the forward difference.  They take and
-# return (S, n, 2) arrays, but compute on their coordinate-major (2, S, n)
-# transposed views: a per-segment (S, n) scalar then multiplies both
-# coordinates as one broadcast over the leading axis, never as a loop over
-# a length-2 innermost axis.  The partials are (S, n, 2) views of fresh
-# coordinate-major arrays, which the caller owns; a caller that holds its
-# data coordinate-major (``paths.step_powers``) passes views in too, so
-# neither conversion copies.  The node axis is the last one and cyclic.
+# Batched kernels.  They take and return coordinate-major (2, S, n) arrays:
+# the chords d of the S curves (forward node differences) and the S fields,
+# and the partials wrt the nodes (through the adjoint of the forward
+# difference) and wrt the coefficients, which are fresh arrays the caller
+# owns.  A per-segment (S, n) scalar then multiplies both coordinates as
+# one broadcast over the leading axis, never as a loop over a length-2
+# innermost axis.  ``paths.step_powers`` holds its chords and velocities
+# in this layout; the single-field wrappers pass (2, 1, n) views
+# ``x.T[:, None]`` of a curve's chords and field.  The node axis is the
+# last one and cyclic.
 #
 # Without grad (the value pass of every Armijo trial) a kernel does only
 # the work its values need, with the bits of the plain form: it allocates
@@ -131,14 +130,6 @@ def _norm(x: np.ndarray, c: float) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _entry(chords, coeffs):
-    """Coordinate-major chords, field and field differences."""
-    v = coeffs.transpose(2, 0, 1)
-    a = cyclic_shift(v, -1, -1)
-    a -= v
-    return chords.transpose(2, 0, 1), v, a
-
-
 def _total(terms, count: int) -> np.ndarray:
     """The sum of the weighted terms in order, begun from the first one:
     each is a sum of non-negative numbers, so adding it to 0.0 first would
@@ -156,10 +147,13 @@ def bv2_norm_and_partials(chords: np.ndarray, coeffs: np.ndarray,
     """Weighted BV2 norms w0*J0 + w1*J1 + w2*J2 of S fields on S curves,
     given the curves' chords (their forward node differences).
 
-    Returns (values (S,), d/d nodes, d/d coeffs); the partials are None
-    unless grad.  They are 0/0 at eps = 0 wherever a difference vanishes.
+    Returns (values (S,), d/d nodes, d/d coeffs), the partials (2, S, n)
+    and None unless grad.  They are 0/0 at eps = 0 wherever a difference
+    vanishes.
     """
-    d, v, a = _entry(chords, coeffs)
+    d, v = chords, coeffs
+    a = cyclic_shift(v, -1, -1)
+    a -= v
     mu = eps / d.shape[-1]
     w0, w1, w2 = weights
     phi_d = _norm(d, mu)                   # |d_i|_{eps/n}
@@ -216,14 +210,16 @@ def bv2_norm_and_partials(chords: np.ndarray, coeffs: np.ndarray,
     value = _total(terms, d.shape[1])
     if not grad:
         return value, None, None
-    return value, g_nodes.transpose(1, 2, 0), g_coeffs.transpose(1, 2, 0)
+    return value, g_nodes, g_coeffs
 
 
 def h2_sq_and_partials(chords: np.ndarray, coeffs: np.ndarray,
                        weights, eps: float, grad: bool = True):
     """Weighted squared H2 norms of S fields on S curves, with arguments
     and partials as in ``bv2_norm_and_partials``."""
-    d, v, a = _entry(chords, coeffs)
+    d, v = chords, coeffs
+    a = cyclic_shift(v, -1, -1)
+    a -= v
     mu = eps / d.shape[-1]
     w0, w1, w2 = weights
     ell = _norm(d, mu)
@@ -293,15 +289,14 @@ def h2_sq_and_partials(chords: np.ndarray, coeffs: np.ndarray,
         return value, None, None
     dl_dd = d / ell                        # d ell_i / d d_i
     dl_dd *= g_ell
-    return (value, _adj_fwd(dl_dd).transpose(1, 2, 0),
-            g_coeffs.transpose(1, 2, 0))
+    return value, _adj_fwd(dl_dd), g_coeffs
 
 
 def _value(kernel, curve: PolyCurve, field: TangentField, weights,
            eps: float) -> float:
     check_sizes(curve, field)
-    value, _, _ = kernel(curve.chords[None], field.coeffs[None], weights,
-                         eps, grad=False)
+    value, _, _ = kernel(curve.chords.T[:, None], field.coeffs.T[:, None],
+                         weights, eps, grad=False)
     return float(value[0])
 
 

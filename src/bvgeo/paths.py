@@ -137,17 +137,15 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
 
     The H2 norm takes its subgradient 0 at zero velocity.  kernels is the
     (BV2, H2) pair of batched kernels from ``metrics``.  They get the
-    homotopy's cached chords and the velocities as views of coordinate-major
-    arrays, and their partials are scattered coordinate-major into one final
-    (N, n, 2) array.
+    homotopy's cached chords and the velocities coordinate-major, as
+    (2, N-1, n) arrays, and their coordinate-major partials are scattered
+    into one final (N, n, 2) array.
     """
     x = h.grid.transpose(2, 0, 1)
     scale = _velocity_scale(h.N, spec.paper_literal_velocity)
     vels = np.subtract(x[:, 1:], x[:, :-1], out=np.empty((2, h.N - 1, h.n)))
     vels *= scale
-    # the kernels take (S, n, 2) arrays: views of the coordinate-major ones
-    args = (h.chords[:, :-1].transpose(1, 2, 0), vels.transpose(1, 2, 0),
-            spec.weights, spec.eps, grad)
+    args = (h.chords[:, :-1], vels, spec.weights, spec.eps, grad)
     bv2, h2 = kernels
     coef = None                            # d power / d (kernel value)
     if spec.family == BV2:
@@ -167,7 +165,6 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
     if not grad:
         return power, None
     # the kernels' partials are their own fresh arrays: scaled in place
-    dn, dv = dn.transpose(2, 0, 1), dv.transpose(2, 0, 1)
     if coef is not None:
         dn *= coef[:, None]
         dv *= coef[:, None]
@@ -203,9 +200,11 @@ def make_translation_path(curve: PolyCurve, c, N: int) -> Homotopy:
     return Homotopy(grid)
 
 
-def time_constant_speed_reparam(h: Homotopy, spec: MetricSpec,
-                                rel_tol: float = 1e-3,
-                                max_passes: int = 50) -> Homotopy:
+# time_constant_speed_reparam's relative step-norm spread and pass limit
+REPARAM_REL_TOL, REPARAM_MAX_PASSES = 1e-3, 50
+
+
+def time_constant_speed_reparam(h: Homotopy, spec: MetricSpec) -> Homotopy:
     """Resample the time grid so that per-step tangent norms equalize.
 
     The cumulative tangent-norm profile is piecewise linear over the slice
@@ -213,18 +212,18 @@ def time_constant_speed_reparam(h: Homotopy, spec: MetricSpec,
     slices are linear blends of adjacent slices (staying inside the
     piecewise-constant-in-time element family).  Endpoint slices are
     preserved exactly.  Passes repeat until the per-step norms agree within
-    rel_tol or max_passes is reached.
+    REPARAM_REL_TOL or REPARAM_MAX_PASSES is reached.
     """
     grid = h.grid
     N = h.N
-    for _ in range(max_passes):
+    for _ in range(REPARAM_MAX_PASSES):
         cur = Homotopy(grid)
         T = step_norms(cur, spec)
         total = float(np.sum(T))
         if total <= 0.0:
             raise ValueError("zero-energy path cannot be time-reparameterized")
         spread = (np.max(T) - np.min(T)) / np.mean(T)
-        if spread <= rel_tol:
+        if spread <= REPARAM_REL_TOL:
             return cur
         cum = np.concatenate([[0.0], np.cumsum(T)])
         targets = total * np.arange(N) / (N - 1)

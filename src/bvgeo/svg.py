@@ -13,8 +13,12 @@ from .curves import PolyCurve
 from .paths import Homotopy
 
 
+# canvas side in pixels; blank border per side, as a share of the extent
+SIZE, MARGIN = 512, 0.05
+
+
 def _slice_color(i: int, N: int) -> str:
-    t = i / (N - 1) if N > 1 else 0.0
+    t = i / (N - 1)
     r = round(255 * t)
     b = round(255 * (1.0 - t))
     return f"#{r:02x}00{b:02x}"
@@ -29,8 +33,7 @@ def _polyline(nodes: np.ndarray, scale: float, offset: np.ndarray,
     return f'  <polygon points="{coords}" fill="none" {style}/>'
 
 
-def render_svg(h: Homotopy, target: PolyCurve | None = None,
-               size: int = 512, margin: float = 0.05) -> str:
+def render_svg(h: Homotopy, target: PolyCurve | None = None) -> str:
     """Render a homotopy (and optional target overlay) to an SVG document."""
     stacks = [h.grid.reshape(-1, 2)]
     if target is not None:
@@ -41,14 +44,14 @@ def render_svg(h: Homotopy, target: PolyCurve | None = None,
     span = float(np.max(hi - lo))
     if span <= 0.0:
         span = 1.0
-    pad = margin * span
-    scale = size / (span + 2 * pad)
+    pad = MARGIN * span
+    scale = SIZE / (span + 2 * pad)
     offset = lo - pad
-    height = float(size)
+    height = float(SIZE)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
     ]
     for i in range(h.N):
         style = f'stroke="{_slice_color(i, h.N)}" stroke-width="1"'

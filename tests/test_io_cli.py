@@ -310,6 +310,13 @@ class TestConfig:
         with pytest.raises(ParseError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_load_config_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"max_iters = 3\n\xff\n")
+        with pytest.raises(ParseError,
+                           match=r"bad\.cfg: byte 14: not UTF-8 text"):
+            load_config(path)
+
 
 class TestCli:
     def pair(self, rng, tmp_path):
@@ -318,6 +325,15 @@ class TestCli:
         tgt = write_curve_json(tmp_path / "tgt.json",
                                fourier_curve(rng, 120).nodes)
         return src, tgt
+
+    @pytest.mark.parametrize("kernel", ["1e300,0.05", "0.5,1e-200"])
+    def test_kernel_width_out_of_range_exits_1(self, rng, tmp_path, capsys,
+                                               kernel):
+        src, tgt = self.pair(rng, tmp_path)
+        rc = main(["match", "--source", src, "--target", tgt,
+                   "--kernel", kernel])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_source_exits_1(self, tmp_path, capsys):
         rc = main(["match", "--source", str(tmp_path / "no.json"),

@@ -32,6 +32,13 @@ class TestKernel:
     def test_invalid_widths(self):
         with pytest.raises(ValueError):
             KernelParams(sigma=0.0, delta=0.1)
+        # the kernel divides by each width squared: that square must be a
+        # finite normal float
+        with pytest.raises(ValueError):
+            KernelParams(sigma=1e300, delta=0.05)
+        with pytest.raises(ValueError):
+            KernelParams(sigma=0.5, delta=1e-200)
+        KernelParams(sigma=1.3e154, delta=1.5e-154)
 
 
 class TestMatchDistance:

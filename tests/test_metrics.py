@@ -433,9 +433,9 @@ def _bits(x):
 
 
 class TestCoordinateMajorKernels:
-    """The kernels take chords and compute on coordinate-major views of
-    their (S, n, 2) arguments; values and both partials must be the bits of
-    the oracle, which takes nodes."""
+    """The kernels take chords and fields as coordinate-major (2, S, n)
+    arrays and return (2, S, n) partials; values and both partials must be
+    the bits of the oracle, which takes nodes as (S, n, 2) arrays."""
 
     @pytest.mark.parametrize("grad", [True, False])
     @pytest.mark.parametrize("family", ["bv2", "h2"])
@@ -455,14 +455,17 @@ class TestCoordinateMajorKernels:
     @staticmethod
     def check(family, nodes, coeffs, weights, eps, grad):
         kernel, reference = _KERNELS[family]
-        chords = np.roll(nodes, -1, axis=1) - nodes
+        chords = (np.roll(nodes, -1, axis=1) - nodes).transpose(2, 0, 1)
+        args = (chords, coeffs.transpose(2, 0, 1), weights, eps, grad)
         with np.errstate(all="ignore"):
             try:
                 want = reference(nodes, coeffs, weights, eps, grad)
             except ZeroDivisionError:
                 with pytest.raises(ZeroDivisionError):
-                    kernel(chords, coeffs, weights, eps, grad)
+                    kernel(*args)
                 return
-            got = kernel(chords, coeffs, weights, eps, grad)
+            got = kernel(*args)
+        assert all(x is None or x.shape == chords.shape for x in got[1:])
+        got = [got[0]] + [None if x is None else x.transpose(1, 2, 0)
+                          for x in got[1:]]
         assert [_bits(x) for x in got] == [_bits(x) for x in want]
-        assert all(x is None or x.shape == nodes.shape for x in got[1:])
