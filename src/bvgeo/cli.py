@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", help="w0,w1,w2")
         p.add_argument("--kernel", help="sigma,delta")
         p.add_argument("--init", choices=["constant", "linear"])
-        p.add_argument("--paper-literal-velocity", action="store_const",
-                       const="true")
 
     p = sub.add_parser("geodesic", help="optimize a homotopy between two curves")
     add_common(p)

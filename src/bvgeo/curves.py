@@ -16,6 +16,7 @@ cached arrays are read-only, and every access (also through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,15 @@ import numpy as np
 
 # immersion threshold on segment speeds, relative to the curve's length
 MIN_SPEED_REL = 1e-8
+
+
+def converted(kind, x):
+    """kind(x) (float or operator.index), or NaN where x has no such value,
+    as an int beyond the float range: then every range check refuses it."""
+    try:
+        return kind(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 class CurveError(ValueError):
@@ -217,16 +227,11 @@ def check_sizes(curve: PolyCurve, field: TangentField) -> None:
             f"field size {field.n} does not match curve size {curve.n}")
 
 
-def first_slow_segment(lengths: np.ndarray, min_speed=None):
+def first_slow_segment(lengths: np.ndarray):
     """Discrete immersion test of S stacked curves, given their (S, n)
-    chord lengths.
-
-    Returns the first (curve, segment) whose speed n*|chord| is <= min_speed,
-    or None.  The default threshold is MIN_SPEED_REL * length of that curve.
-    """
-    if min_speed is None:
-        min_speed = MIN_SPEED_REL * np.add.reduce(lengths, axis=1,
-                                                  keepdims=True)
+    chord lengths: the first (curve, segment) whose speed n*|chord| is at
+    most MIN_SPEED_REL times that curve's length, or None."""
+    min_speed = MIN_SPEED_REL * np.add.reduce(lengths, axis=1, keepdims=True)
     n = lengths.shape[1]
     slow = n * lengths <= min_speed
     if not slow.any():
@@ -234,13 +239,10 @@ def first_slow_segment(lengths: np.ndarray, min_speed=None):
     return divmod(int(np.flatnonzero(slow)[0]), n)
 
 
-def validate_immersion(curve: PolyCurve, min_speed: float | None = None):
-    """Discrete immersion test of one curve (see ``first_slow_segment``).
-
-    Returns (ok, offending_index); offending_index is None when ok, else the
-    first segment whose speed n*|chord| is <= min_speed.
-    """
-    bad = first_slow_segment(curve.chord_lengths[None], min_speed)
+def validate_immersion(curve: PolyCurve):
+    """Discrete immersion test of one curve (see ``first_slow_segment``):
+    (ok, offending_index), with offending_index None when ok."""
+    bad = first_slow_segment(curve.chord_lengths[None])
     return (True, None) if bad is None else (False, bad[1])
 
 

@@ -158,10 +158,6 @@ class RunConfig:
             raise ValueError(f"init must be 'constant' or 'linear', "
                              f"got {self.init!r}")
 
-    @property
-    def paper_literal_velocity(self) -> bool:
-        return self.metric.paper_literal_velocity
-
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -197,7 +193,6 @@ _float, _int = _numbers(1), _numbers(1, integer=True)
 # RunConfig field of its own name, or the two fields in _PAIRS.
 CONFIG_KEYS = {
     "family": str, "init": str, "source": str, "target": str, "out": str,
-    "paper_literal_velocity": _parse_bool,
     "normalize_to_unit_square": _parse_bool,
     "weights": _numbers(3), "kernel": _numbers(2), "eps_schedule": _numbers(),
     "grid": _numbers(2, integer=True),

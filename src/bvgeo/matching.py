@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolyCurve, cyclic_shift, inner, length, rot90
+from .curves import PolyCurve, converted, cyclic_shift, inner, length, rot90
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,9 @@ class KernelParams:
     delta: float = 0.05
 
     def __post_init__(self):
+        for name in ("sigma", "delta"):
+            value = converted(float, getattr(self, name))
+            object.__setattr__(self, name, value)
         if not all(w > 0 and 2.0 ** -1022 <= w * w < math.inf
                    for w in (self.sigma, self.delta)):
             raise ValueError("kernel widths must be positive, with finite "

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (PolyCurve, TangentField, check_sizes, cyclic_shift,
-                     inner, inner_cm, smoothed_norm)
+from .curves import (PolyCurve, TangentField, check_sizes, converted,
+                     cyclic_shift, inner, inner_cm, smoothed_norm)
 
 BV2 = "bv2"
 H2 = "h2"
@@ -55,25 +55,24 @@ class MetricSpec:
     weights:  (w0, w1, w2), nonnegative, at least one positive
     eps:      smoothing parameter (>= 0); for the h2 family it only
               regularizes chord lengths in the speed denominators
-    exponent: p in {1, 2}; selects norm vs squared norm in the path energy
-    paper_literal_velocity: step velocities divide slice differences by
-              N-1 instead of multiplying (see ``paths``)
+    exponent: p in {1, 2}; selects norm vs squared norm of each step's
+              velocity in the path energy (see ``paths``)
     """
 
     family: str = BV2
     weights: tuple[float, float, float] = (1.0, 0.0, 1.0)
     eps: float = 0.0
     exponent: int = 2
-    paper_literal_velocity: bool = False
 
     def __post_init__(self):
         if self.family not in (BV2, H2):
             raise ValueError(f"unknown metric family {self.family!r}")
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(converted(float, x) for x in self.weights)
         if len(w) != 3 or not all(0 <= x < np.inf for x in w):
             raise ValueError("weights must be three finite reals >= 0")
         if not any(x > 0 for x in w):
             raise ValueError("at least one weight must be positive")
+        object.__setattr__(self, "eps", converted(float, self.eps))
         if not 0 <= self.eps < np.inf:
             raise ValueError("eps must be nonnegative and finite")
         if self.exponent not in (1, 2):

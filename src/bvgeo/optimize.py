@@ -19,11 +19,12 @@ floor, the floor built with the gradient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import PolyCurve, inner, length
+from .curves import PolyCurve, converted, inner, length
 from .matching import (KernelParams, floor_constants, match_distance,
                        match_floor, match_gradient, match_slack)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
@@ -48,8 +49,13 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        object.__setattr__(self, "max_iters",
+                           converted(operator.index, self.max_iters))
+        for name in ("tau0", "shrink", "armijo", "grad_tol"):
+            value = converted(float, getattr(self, name))
+            object.__setattr__(self, name, value)
+        if not self.max_iters >= 0:
+            raise ValueError("max_iters must be a nonnegative integer")
         if not 0 < self.tau0 < np.inf:
             raise ValueError("tau0 must be positive and finite")
         if not 0 < self.shrink < 1:
@@ -58,7 +64,7 @@ class OptimConfig:
             raise ValueError("armijo constant must be in (0, 1)")
         if not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be positive and finite")
-        sched = tuple(float(e) for e in self.eps_schedule)
+        sched = tuple(converted(float, e) for e in self.eps_schedule)
         if not sched:
             raise ValueError("eps_schedule must be nonempty")
         if not all(0 <= e < np.inf for e in sched):
@@ -208,16 +214,18 @@ def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     return energy + match, energy, match
 
 
+def _require_smooth(spec: MetricSpec, eps: float) -> None:
+    """Refuse a BV2 gradient at eps = 0, where the objective is nonsmooth."""
+    if spec.family == BV2 and eps == 0.0:
+        raise ValueError("BV2 gradient requires eps > 0 (objective is "
+                         "nonsmooth at eps = 0)")
+
+
 def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
              params: KernelParams, endpoint=None) -> np.ndarray:
     """Exact objective gradient, (N, n, 2); the pinned slice-0 block is zero.
-
-    For the BV2 family the objective is nonsmooth at eps = 0, so the
-    gradient refuses that case explicitly.
-    """
-    if spec.family == BV2 and spec.eps == 0.0:
-        raise ValueError("BV2 gradient requires eps > 0 (objective is "
-                         "nonsmooth at eps = 0)")
+    For the BV2 family at eps = 0 (a nonsmooth objective) it raises."""
+    _require_smooth(spec, spec.eps)
     endpoint = _endpoint(endpoint, target, params)
     # the match term first: it frees the kernel its trial kept before the
     # energy partials allocate theirs
@@ -299,10 +307,12 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
 
     Each stage's final objective is recorded both at the stage's own eps and
     re-evaluated at the schedule's smallest eps, so stages are comparable.
-    One endpoint (by default ``KernelMatch``) serves every stage.
+    One endpoint (by default ``KernelMatch``) serves every stage.  A BV2
+    schedule ending at eps = 0 is refused before the first stage runs.
     """
-    endpoint = _endpoint(endpoint, target, params)
     eps_min = cfg.eps_schedule[-1]
+    _require_smooth(spec, eps_min)
+    endpoint = _endpoint(endpoint, target, params)
     merged = OptimReport(homotopy=h0)
     h = h0
     for eps in cfg.eps_schedule:

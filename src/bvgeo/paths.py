@@ -3,13 +3,9 @@
 A homotopy is an N x n grid of plane points: N time slices, each slice a
 closed piecewise-affine curve with n nodes.  Time uses N slices and N-1
 steps spanning [0, 1]; the velocity of step i is the difference quotient
-(slice[i+1] - slice[i]) / dt with dt = 1/(N-1).
-
-The spec's ``paper_literal_velocity`` flag divides by (N-1) instead of
-multiplying, reproducing a formula variant whose energy scale depends on the
-time grid; the difference-quotient convention is the default because it
-makes the discrete energy a consistent quadrature of the continuous one (the
-translation path then has its analytic energy value, independent of N).
+(slice[i+1] - slice[i]) / dt with dt = 1/(N-1), i.e. (N-1) times the slice
+difference.  This makes the discrete energy a consistent quadrature of the
+continuous one: the translation path has its analytic energy for every N.
 
 A ``Homotopy`` is immutable and computes its geometry once: the chords of
 every slice, coordinate-major and taken by the energy kernels, their
@@ -117,17 +113,12 @@ class PathDiagnostics:
         return not bool(np.any(self.violations))
 
 
-def _velocity_scale(N: int, paper_literal: bool) -> float:
-    """Factor turning slice differences into step velocities."""
-    return 1.0 / (N - 1) if paper_literal else float(N - 1)
-
-
-def velocity(h: Homotopy, i: int, paper_literal: bool = False) -> TangentField:
+def velocity(h: Homotopy, i: int) -> TangentField:
     """Velocity field of time step i (0-based, 0 <= i <= N-2)."""
     if not 0 <= i <= h.N - 2:
         raise IndexError(f"step index {i} out of range [0, {h.N - 2}]")
     diff = h.grid[i + 1] - h.grid[i]
-    return TangentField(diff * _velocity_scale(h.N, paper_literal))
+    return TangentField(diff * float(h.N - 1))
 
 
 def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
@@ -142,7 +133,7 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
     into one final (N, n, 2) array.
     """
     x = h.grid.transpose(2, 0, 1)
-    scale = _velocity_scale(h.N, spec.paper_literal_velocity)
+    scale = float(h.N - 1)
     vels = np.subtract(x[:, 1:], x[:, :-1], out=np.empty((2, h.N - 1, h.n)))
     vels *= scale
     args = (h.chords[:, :-1], vels, spec.weights, spec.eps, grad)
@@ -169,9 +160,7 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
         dn *= coef[:, None]
         dv *= coef[:, None]
     dv *= scale
-    # step i adds +dv to slice i+1, then +dn and -dv to slice i; every
-    # slice's sum starts at 0.0, so slice 0 takes its +dn as 0.0 + dn
-    dn[:, 0] += 0.0
+    # step i adds +dv to slice i+1, then +dn and -dv to slice i
     dn[:, 1:] += dv[:, :-1]
     out = np.empty(h.grid.shape)
     g = out.transpose(2, 0, 1)

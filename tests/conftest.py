@@ -3,7 +3,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from bvgeo import PolyCurve, TangentField, matching
+from bvgeo import PolyCurve, TangentField, matching, optimize
 
 
 def fourier_curve(rng, n, radius=0.3, wobble=0.08, modes=4, center=(0.5, 0.5)):
@@ -75,4 +75,18 @@ def builds(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(matching, "_kernel_matrices", counted)
+    return calls
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Counts ``optimize.objective`` calls."""
+    calls = []
+    objective = optimize.objective
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "objective", counted)
     return calls

@@ -8,8 +8,8 @@ from bvgeo import (CurveError, DegenerateSegmentError, Homotopy, PolyCurve,
                    TangentField, constant_speed_resample, frenet_frames, length,
                    normalize_to_unit_square, signed_area, smoothed_norm,
                    validate_immersion)
-from bvgeo.curves import (_point_at_arclength, cyclic_shift, inner,
-                          inner_cm)
+from bvgeo.curves import (MIN_SPEED_REL, _point_at_arclength, cyclic_shift,
+                          inner, inner_cm)
 from conftest import fourier_curve
 
 
@@ -47,12 +47,12 @@ class TestPolyCurve:
 
 class TestValidateImmersion:
     def test_unit_square_ok(self, unit_square):
-        ok, idx = validate_immersion(unit_square, 0.0)
+        ok, idx = validate_immersion(unit_square)
         assert ok and idx is None
 
     def test_coincident_nodes_detected(self):
         c = PolyCurve([[0, 0], [1, 0], [1, 0], [0, 1]])
-        ok, idx = validate_immersion(c, 0.0)
+        ok, idx = validate_immersion(c)
         assert not ok
         assert idx == 1
 
@@ -60,9 +60,10 @@ class TestValidateImmersion:
         n = 64
         c = fourier_curve(rng, n)
         assert np.all(c.chord_lengths >= 0.01)
-        ok, _ = validate_immersion(c, 0.001 * n)
+        ok, _ = validate_immersion(c)
         # oracle: direct scan over segment speeds
-        assert ok == bool(np.min(n * c.chord_lengths) > 0.001 * n)
+        assert ok == bool(np.min(n * c.chord_lengths)
+                          > MIN_SPEED_REL * np.sum(c.chord_lengths))
         assert ok
 
 

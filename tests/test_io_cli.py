@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -15,7 +16,7 @@ from bvgeo import (Homotopy, KernelParams, MetricSpec, OptimConfig,
                    load_config, load_curve, load_homotopy, match_distance,
                    parse_config, save_curve, save_homotopy)
 from bvgeo import optimize
-from bvgeo.cli import _write_trace, main
+from bvgeo.cli import _build_parser, _write_trace, main
 from bvgeo.io import CONFIG_KEYS
 from bvgeo.optimize import TRACE_COLUMNS
 from bvgeo.svg import _polyline
@@ -245,7 +246,7 @@ class TestConfig:
             eps_schedule = 1e-1 1e-3
             init = linear
             max_iters = 77
-            paper_literal_velocity = yes
+            normalize_to_unit_square = no
         """)
         assert cfg.metric.family == "h2"
         assert cfg.metric.weights == (2.0, 0.5, 1.0)
@@ -254,7 +255,7 @@ class TestConfig:
         assert cfg.optimizer.eps_schedule == (1e-1, 1e-3)
         assert cfg.init == "linear"
         assert cfg.optimizer.max_iters == 77
-        assert cfg.paper_literal_velocity is True
+        assert cfg.normalize_to_unit_square is False
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="unknown key"):
@@ -264,7 +265,7 @@ class TestConfig:
         with pytest.raises(ParseError):
             parse_config("weights = 1 2")
         with pytest.raises(ParseError):
-            parse_config("paper_literal_velocity = maybe")
+            parse_config("normalize_to_unit_square = maybe")
         with pytest.raises(ParseError):
             parse_config("family = sobolev")
         with pytest.raises(ParseError):
@@ -429,6 +430,33 @@ class TestCli:
         assert "termination non_finite" in captured.out
         assert "not finite" in captured.err
 
+    def test_geodesic_bv2_schedule_ending_at_zero_exits_1(
+            self, rng, tmp_path, capsys, objective_calls):
+        # refused before the eps = 0.1 stage runs, so no objective is
+        # evaluated and no file is written
+        src, tgt = self.pair(rng, tmp_path)
+        rc = main(["geodesic", "--source", src, "--target", tgt,
+                   "--grid", "4,40", "--eps-schedule", "0.1,0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert objective_calls == []
+        assert "BV2 gradient requires eps > 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_every_shared_flag_is_a_config_key(self):
+        # _config_from_args keeps only the flags whose dest is a config key,
+        # so a flag without one would be accepted and then ignored
+        sub = next(action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        checked = []
+        for name, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions if a.option_strings}
+            if "config" in dests:
+                checked.append(name)
+                assert dests - {"help", "config"} <= CONFIG_KEYS.keys(), name
+        assert sorted(checked) == ["check-grad", "energy", "export-svg",
+                                   "geodesic", "match"]
+
     def test_energy_empty_eps_schedule_exits_1(self, rng, tmp_path, capsys):
         hp = tmp_path / "h.json"
         save_homotopy(Homotopy(smooth_homotopy(rng, 3, 12)), hp)
@@ -533,14 +561,13 @@ class TestCli:
         hp = tmp_path / "h.json"
         save_homotopy(Homotopy(smooth_homotopy(rng, 4, 120)), hp)
         argvs = [
-            ["energy", str(hp), "--paper-literal-velocity"],
+            ["energy", str(hp), "--metric", "h2"],
             ["energy", str(hp)],
             ["match", "--source", src, "--target", tgt,
              "--kernel", "0.3,0.04"],
             ["energy", str(hp), "--target", tgt, "--metric", "h2"],
             ["match", "--source", src, "--target", str(tmp_path / "no.json")],
-            ["energy", str(hp), "--weights", "1,1,1",
-             "--paper-literal-velocity"],
+            ["energy", str(hp), "--weights", "1,1,1", "--metric", "h2"],
             ["resample", "--source", src, "--out", str(tmp_path / "r.json"),
              "--nodes", "40"],
             ["match", "--source", src, "--target", tgt],

@@ -58,11 +58,10 @@ class TestObjective:
         assert match == pytest.approx(
             match_distance(h.slice_curve(h.N - 1), tgt, KP), rel=1e-12)
 
-    @pytest.mark.parametrize("paper_literal", [False, True])
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("spec", [BV_SPEC, H2_SPEC], ids=["bv2", "h2"])
-    def test_energy_agrees_with_paths(self, rng, spec, p, paper_literal):
-        spec = replace(spec, exponent=p, paper_literal_velocity=paper_literal)
+    def test_energy_agrees_with_paths(self, rng, spec, p):
+        spec = replace(spec, exponent=p)
         h = Homotopy(smooth_homotopy(rng, 6, 20))
         _, energy, _ = objective(h, fourier_curve(rng, 20), spec, KP)
         assert energy == pytest.approx(path_energy(h, spec), rel=1e-12)
@@ -549,6 +548,23 @@ class TestContinuation:
         assert last["objective"] == pytest.approx(
             last["objective_at_min_eps"], rel=1e-12)
 
+    def test_bv2_schedule_ending_at_zero_refused_first(self, rng,
+                                                       objective_calls):
+        # the BV2 gradient refuses eps = 0; the refusal comes before the
+        # stages above it run, not after them
+        h0 = Homotopy(smooth_homotopy(rng, 4, 16))
+        cfg = OptimConfig(max_iters=2, eps_schedule=(1e-1, 0.0))
+        with pytest.raises(ValueError, match="eps > 0"):
+            continuation(h0, fourier_curve(rng, 16), BV_SPEC, KP, cfg)
+        assert objective_calls == []
+
+    def test_h2_schedule_ending_at_zero_runs(self, rng, objective_calls):
+        h0 = Homotopy(smooth_homotopy(rng, 4, 16))
+        cfg = OptimConfig(max_iters=2, eps_schedule=(1e-1, 0.0))
+        rep = continuation(h0, fourier_curve(rng, 16), H2_SPEC, KP, cfg)
+        assert [s["eps"] for s in rep.stage_objectives] == [1e-1, 0.0]
+        assert objective_calls
+
     def test_trace_item_write_persists(self, rng):
         # a column is stored once: writing into a *_trace list changes the
         # report, and the merged rows follow the stages' rows
@@ -724,9 +740,36 @@ class TestInitializers:
     (OptimConfig, "tau0", np.inf), (OptimConfig, "grad_tol", np.nan),
     (OptimConfig, "grad_tol", np.inf),
     (OptimConfig, "eps_schedule", (np.nan,)),
-    (OptimConfig, "eps_schedule", (np.inf, 1e-2))],
+    (OptimConfig, "eps_schedule", (np.inf, 1e-2)),
+    # integers beyond the float range
+    *(pytest.param(cls, field, value, id=f"{cls.__name__}-{field}-10**400")
+      for cls, field, value in [
+          (KernelParams, "sigma", 10**400), (MetricSpec, "eps", 10**400),
+          (MetricSpec, "weights", (10**400, 0, 1)),
+          (OptimConfig, "tau0", 10**400), (OptimConfig, "grad_tol", 10**400),
+          (OptimConfig, "eps_schedule", (10**400,))])],
     ids=lambda v: getattr(v, "__name__", str(v)))
 def test_settings_reject_non_finite(cls, field, value):
     # NaN passes a plain "x <= 0" test, so each validator checks finiteness
     with pytest.raises(ValueError, match="finite"):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, -1, "7"])
+def test_max_iters_must_be_a_nonnegative_integer(value):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        OptimConfig(max_iters=value)
+
+
+def test_settings_store_converted_values():
+    # a float keeps its bits, and max_iters is stored as an int
+    cfg = OptimConfig(max_iters=np.int64(3), tau0=np.float32(0.5),
+                      eps_schedule=(1, 0.1))
+    assert type(cfg.max_iters) is int and cfg.max_iters == 3
+    assert type(cfg.tau0) is float and cfg.eps_schedule == (1.0, 0.1)
+    spec = MetricSpec(eps=np.float64(0.1), weights=(1, 0, 1))
+    assert type(spec.eps) is float and spec.eps == 0.1
+    assert spec.weights == (1.0, 0.0, 1.0)
+    kp = KernelParams(1, np.float64(0.05))
+    assert (type(kp.sigma), type(kp.delta)) == (float, float)
+    assert kp.delta == 0.05

@@ -68,13 +68,6 @@ class TestVelocity:
         for i in range(6):
             assert np.allclose(velocity(h, i).coeffs, [0.3, -0.7], atol=1e-12)
 
-    def test_paper_literal_scaling(self, rng):
-        c = fourier_curve(rng, 16)
-        h = make_translation_path(c, (1, 0), 5)
-        quotient = velocity(h, 2).coeffs
-        literal = velocity(h, 2, paper_literal=True).coeffs
-        assert np.allclose(quotient, literal * (h.N - 1) ** 2)
-
     def test_direct_recomputation(self, rng):
         grid = smooth_homotopy(rng, 6, 24)
         h = Homotopy(grid)
