@@ -49,13 +49,15 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iters",
-                           converted(operator.index, self.max_iters))
+        for name in ("max_iters", "seed"):
+            value = converted(operator.index, getattr(self, name))
+            object.__setattr__(self, name, value)
         for name in ("tau0", "shrink", "armijo", "grad_tol"):
             value = converted(float, getattr(self, name))
             object.__setattr__(self, name, value)
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters must be a nonnegative integer")
+        for name in ("max_iters", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be a nonnegative integer")
         if not 0 < self.tau0 < np.inf:
             raise ValueError("tau0 must be positive and finite")
         if not 0 < self.shrink < 1:
@@ -165,7 +167,8 @@ class KernelMatch:
             grad.setflags(write=False)
             # column 0 of K @ B, which match_gradient leaves as it was
             self._iterate = (curve, value, grad, floor_constants(
-                curve, self.target, self.params, value, kernel[2][:, 0]))
+                curve, self.target, self.params, value, kernel[2][:, 0],
+                grad))
         return self._iterate[2]
 
     def rejects(self, h: Homotopy, energy: float, bound: float) -> bool:
@@ -179,7 +182,7 @@ class KernelMatch:
             return True
         floor = self._iterate[3]
         return floor is not None and energy + match_floor(
-            floor, h.grid[-1], lengths, total) > bound
+            floor, h.grid[-1], lengths, total, bound - energy) > bound
 
 
 def _endpoint(endpoint, target: PolyCurve, params: KernelParams):

@@ -491,6 +491,12 @@ class TestCli:
         assert rc == 0
         assert "max relative error" in capsys.readouterr().out
 
+    def test_check_grad_negative_seed_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = -1\n")
+        assert main(["check-grad", "--config", str(cfg)]) == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_resample(self, rng, tmp_path, capsys):
         src = write_curve_json(tmp_path / "c.json", fourier_curve(rng, 50).nodes)
         out = str(tmp_path / "r.json")

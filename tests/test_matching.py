@@ -134,14 +134,16 @@ class TestMatchSlack:
 
 def _constants(a, b, kp):
     """match_floor's constants about a, from H and K l_b as match_distance
-    returns them."""
-    value, (_, _, prod) = match_distance(a, b, kp, return_kernel=True)
-    return floor_constants(a, b, kp, value, prod[:, 0])
+    returns them and the gradient that takes its kernel."""
+    value, kernel = match_distance(a, b, kp, return_kernel=True)
+    kl = kernel[2][:, 0]
+    return floor_constants(a, b, kp, value, kl,
+                           match_gradient(a, b, kp, kernel))
 
 
 def _trial_floor(a, a2, b, kp):
     return match_floor(_constants(a, b, kp), a2.nodes, a2.chord_lengths,
-                       length(a2))
+                       length(a2), np.inf)
 
 
 class TestMatchFloor:
@@ -173,6 +175,79 @@ class TestMatchFloor:
         a2 = PolyCurve(a.nodes + move)
         assert match_distance(a2, b, kp) >= _trial_floor(a, a2, b, kp)
 
+    @staticmethod
+    def _lipschitz_floor(constants, a2):
+        """The first-order floor alone, from the constants' Lipschitz part:
+        H_0 - sum_i D_i (w_i + c l2_i) - q (L_a + L_a2)."""
+        origin, value, length_a, per_length, scale = constants[:5]
+        d = np.hypot(*(a2.nodes - origin).T)
+        d += np.roll(d, -1)
+        per_node = a2.chord_lengths * scale
+        per_node += constants[-1]
+        return value - float(d @ per_node) - per_length * (length_a
+                                                           + length(a2))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 256),
+           m=st.integers(16, 256), narrow=st.floats(0, 1),
+           offset=st.floats(-1, 1), descent=st.booleans())
+    def test_second_order_floor(self, seed, n, m, narrow, offset, descent):
+        # widths from (0.5, 0.05) down to (0.05, 0.01); steps from 1e-12
+        # to beyond the first t at which some chord length l_i <= D_i
+        rng = np.random.default_rng(seed)
+        a = fourier_curve(rng, n)
+        b = fourier_curve(rng, m, center=(0.5 + 0.6 * offset, 0.45))
+        kp = KernelParams(0.5 * 0.1 ** narrow, 0.05 * 0.2 ** narrow)
+        value, kernel = match_distance(a, b, kp, return_kernel=True)
+        kl = kernel[2][:, 0]
+        grad = match_gradient(a, b, kp, kernel)
+        constants = floor_constants(a, b, kp, value, kl, grad)
+        nan_constants = floor_constants(a, b, kp, value, kl,
+                                        np.full_like(grad, np.nan))
+        move = -grad if descent else rng.standard_normal((n, 2))
+        reach = np.hypot(*move.T)
+        reach += np.roll(reach, -1)                   # D_i per unit step
+        t_out = float(np.min(a.chord_lengths / reach))
+        for t in np.geomspace(1e-12, 1.5 * t_out, 12):
+            a2 = PolyCurve(a.nodes + t * move)
+            d = np.hypot(*(a2.nodes - a.nodes).T)
+            d += np.roll(d, -1)
+            args = a2.nodes, a2.chord_lengths, length(a2)
+            floor = match_floor(constants, *args, np.inf)
+            lipschitz = self._lipschitz_floor(constants, a2)
+            assert floor <= match_distance(a2, b, kp)
+            assert floor >= lipschitz
+            # a NaN gradient adds nothing to the Lipschitz floor, and a
+            # Lipschitz floor above need is returned at once
+            assert match_floor(nan_constants, *args, np.inf) == lipschitz
+            assert match_floor(constants, *args, lipschitz - 1.0) \
+                == lipschitz
+            if np.any(d >= a.chord_lengths):
+                assert floor == lipschitz
+            elif t <= 1e-3 * t_out:
+                assert floor > lipschitz
+
+    def test_nan_gradient_never_rejects(self, rng, monkeypatch):
+        # a bound between the two floors: the second-order floor rejects
+        # the trial, and an iterate with a NaN gradient does not
+        a = fourier_curve(rng, 64)
+        b = fourier_curve(rng, 64, center=(0.55, 0.45))
+        grad = match_gradient(a, b, KP)
+        a2 = PolyCurve(a.nodes - 1e-6 * grad)
+        floor = _trial_floor(a, a2, b, KP)
+        lipschitz = self._lipschitz_floor(_constants(a, b, KP), a2)
+        assert lipschitz < floor
+        trial = Homotopy(np.stack([a.nodes, a2.nodes]))
+        bound = 0.5 * (lipschitz + floor)
+        endpoint = KernelMatch(b, KP)
+        endpoint.gradient(a)
+        assert endpoint.rejects(trial, 0.0, bound)
+        monkeypatch.setattr(optimize, "match_gradient",
+                            lambda *args: np.full((a.n, 2), np.nan))
+        endpoint = KernelMatch(b, KP)
+        assert np.isnan(endpoint.gradient(a)).all()
+        assert not endpoint.rejects(trial, 0.0, bound)
+
     def test_value_is_match_distance(self, rng, monkeypatch):
         a = fourier_curve(rng, 40)
         b = fourier_curve(rng, 33, center=(0.55, 0.45))
@@ -199,19 +274,21 @@ class TestMatchFloor:
         assert h0 - 1e3 * slack < _trial_floor(a, a, b, KP) < h0 - 2 * slack
 
     def test_floor_follows_small_descent_steps(self, rng):
-        # down the gradient the floor falls below H_0 in proportion to the
-        # step, and stays far above match_slack's -slack
+        # down the gradient the floor falls below H_0 by the two slacks
+        # plus the first-order decrease t |g|^2, within 2% of it, and stays
+        # far above match_slack's -slack
         a = fourier_curve(rng, 128)
         b = fourier_curve(rng, 128, center=(0.55, 0.45))
         grad = match_gradient(a, b, KP)
         h0 = match_distance(a, b, KP)
-        drops = []
+        slacks = h0 - _trial_floor(a, a, b, KP)
+        decrease = float(np.vdot(grad, grad))
         for t in (1e-9, 1e-7, 1e-5):
             a2 = PolyCurve(a.nodes - t * grad)
             floor = _trial_floor(a, a2, b, KP)
             assert 0.99 * h0 < floor <= match_distance(a2, b, KP)
-            drops.append((h0 - floor) / t)
-        assert max(drops) < 1.01 * min(drops)
+            drop = (h0 - floor - slacks) / (t * decrease)
+            assert 1 - 1e-3 < drop < 1.02
 
     @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
     def test_kernel_term_needed_on_coarse_curves(self, rng, t):

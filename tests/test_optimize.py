@@ -361,12 +361,32 @@ class TestBoundedTrials:
         # every gradient found its curve's kernel kept by a value before it
         assert counts["gradients"] > 0 and counts["gradient_builds"] == 0
         if (family, p, init) == (H2, 1, "constant"):
-            # the stall pair of test_unchanged_grid_stalls: every trial
-            # before the unchanged grid fails on its energy alone
+            # the stall pair of test_unchanged_grid_stalls: descend and
+            # each of continuation's three stages make the same 56 trials,
+            # of which 4 fail on their energy, 36 on the match floor and
+            # 16 only after building their kernel
             assert bounded[1].termination == "stalled"
-            assert counts["floor_rejects"] == 0
+            assert counts["trials"] == 4 * 56
+            assert counts["energy_rejects"] == 4 * 4
+            assert counts["floor_rejects"] == 4 * 36
         elif init == "constant":
             assert counts["floor_rejects"] > 0
+
+    def test_rejected_trials_build_few_kernels(self, builds):
+        # crossing ellipses at (N, n) = (5, 32) with the default spec and
+        # kernel, 10 iterations per stage: each accepted trial and the
+        # first stage's start build a kernel, and the match floor turns
+        # back every rejected trial but (at most) the margin of 2 before
+        # its kernel; without the floor's second-order part, 72 builds
+        theta = 2 * np.pi * np.arange(32) / 32
+        src, tgt = (PolyCurve(np.stack([0.5 + rx * np.cos(theta),
+                                        0.5 + ry * np.sin(theta)], axis=1))
+                    for rx, ry in ((0.35, 0.2), (0.2, 0.35)))
+        rep = continuation(init_constant(src, 5), tgt, MetricSpec(), KP,
+                           OptimConfig(max_iters=10))
+        assert rep.iters_per_stage == [10, 10, 10]
+        accepted, starts = sum(rep.iters_per_stage), len(rep.iters_per_stage)
+        assert len(builds) <= accepted + starts + 2
 
     def test_accepted_gradient_bitwise_fresh(self, rng, monkeypatch,
                                              builds):
@@ -468,9 +488,11 @@ class TestBoundedTrials:
             assert all(constants is built[-1] for constants in read[-2:])
         # the replacing constants are those of the new iterate's last slice
         a2 = h2.slice_curve(h2.N - 1)
-        value, (_, _, prod) = match_distance(a2, tgt, KP, return_kernel=True)
+        value, kernel = match_distance(a2, tgt, KP, return_kernel=True)
+        kl = kernel[2][:, 0]
+        grad = match_gradient(a2, tgt, KP, kernel)
         for got, want in zip(read[-1], floor_constants_(a2, tgt, KP, value,
-                                                        prod[:, 0])):
+                                                        kl, grad)):
             assert np.array_equal(got, want)
 
     def test_floor_rejection_leaves_last_slice_alone(self, rng):
@@ -761,11 +783,18 @@ def test_max_iters_must_be_a_nonnegative_integer(value):
         OptimConfig(max_iters=value)
 
 
+@pytest.mark.parametrize("value", [2.5, -1])
+def test_seed_must_be_a_nonnegative_integer(value):
+    with pytest.raises(ValueError, match="seed must be a nonnegative"):
+        OptimConfig(seed=value)
+
+
 def test_settings_store_converted_values():
     # a float keeps its bits, and max_iters is stored as an int
     cfg = OptimConfig(max_iters=np.int64(3), tau0=np.float32(0.5),
                       eps_schedule=(1, 0.1))
     assert type(cfg.max_iters) is int and cfg.max_iters == 3
+    assert type(OptimConfig(seed=np.int64(7)).seed) is int
     assert type(cfg.tau0) is float and cfg.eps_schedule == (1.0, 0.1)
     spec = MetricSpec(eps=np.float64(0.1), weights=(1, 0, 1))
     assert type(spec.eps) is float and spec.eps == 0.1
