@@ -231,9 +231,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    # ZeroDivisionError: the H2 norm of a stored slice with a repeated node
-    except (ParseError, CurveError, OSError, ValueError,
-            ZeroDivisionError) as exc:
+    # ZeroDivisionError: the H2 norm of a stored slice with a repeated node;
+    # MemoryError: a grid too large to allocate
+    except (ParseError, CurveError, OSError, ValueError, ZeroDivisionError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

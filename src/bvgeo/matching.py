@@ -30,16 +30,12 @@ non-negative terms, and ``match_slack`` bounds how far its computed value
 can fall below zero, so a trial whose path energy alone exceeds the Armijo
 threshold by that slack fails whatever H is.  H is also smooth in the
 nodes, so ``match_floor`` bounds the computed H of a trial from below
-about the iterate, from the iterate's ``floor_constants``, by the larger
-of two floors: the iterate's H less a Lipschitz bound on what the trial's
-node displacement can change it by (first order in the step), and the
-iterate's H plus the first-order change along its gradient less a bound
-on the Taylor remainder (second order in the step, so far tighter for the
-small steps of a line search; available while every chord of the iterate
-outlasts the move).  Both take one pass over the displacements, about a
-dozen numpy calls on (n,) arrays and no (n, m) work: a trial whose energy
-plus that floor exceeds the threshold fails without its kernel matrix.
-And
+about the iterate, from the iterate's ``floor_constants``: its H plus
+the first-order change along its gradient, less a bound on the Taylor
+remainder (second order in the step; available while every chord of the
+iterate outlasts the move).  That takes about a dozen numpy calls on
+(n,) arrays and no (n, m) work: a trial whose energy plus the floor
+exceeds the threshold fails without its kernel matrix.  And
 ``match_distance(..., return_kernel=True)`` also returns the kernel's
 exponentials and K B, from which ``match_gradient`` forms K' in place.
 The functions here keep no state; ``optimize.KernelMatch`` holds a run's.
@@ -160,9 +156,8 @@ def match_slack(n: int, m: int, length_a: float, length_b: float) -> float:
     return 16.0 * (n + m + 16) * 2.0 ** -53 * length_a * length_b
 
 
-# Room for the rounding of match_floor's two drop bounds, whose relative
-# errors are below (n + m + 32) u: far below 1e-6 for any n and m a curve
-# can have.
+# Room for the rounding of match_floor's drop bound, whose relative error
+# is below (n + m + 32) u: far below 1e-6 for any n and m a curve can have.
 _DROP_SCALE = 1.0 + 1e-6
 
 
@@ -171,12 +166,11 @@ def floor_constants(a: PolyCurve, b: PolyCurve, params: KernelParams,
     """match_floor's constants for trials about a, from its computed
     H_0 = match_distance(a, b, params), K l_b (column 0 of the K @ B that
     match_distance returns) and G = match_gradient(a, b, params):
-    (a's nodes, H_0, L_a, q, c, G, r, e, v, w2, w).  The Lipschitz floor
-    takes s(x) = q L_x, c = 2 Lip_K L_b and w = 4 P, P being K l_b plus
-    its rounding allowance.  The second-order floor takes G, r = l (1 -
-    1e-6) for a's chord lengths l, e = 2 L_b, v = L_b (2 Lip_K + l h) for
-    h = 1/s^2 + 1/d^2, and G's error weights w2.  All but q, G and r are
-    scaled by _DROP_SCALE."""
+    (a's nodes, H_0, L_a, q, G, r, e, v, w2), for the slack s(x) = q L_x,
+    r = l (1 - 1e-6) for a's chord lengths l, e = 2 L_b, v = L_b (2 Lip_K
+    + l h) for h = 1/s^2 + 1/d^2, and G's error weights w2, which read
+    P, K l_b plus its rounding allowance.  e, v and w2 are scaled by
+    _DROP_SCALE."""
     u = 2.0 ** -53
     sigma, delta = params.sigma, params.delta
     # Lip_K = (1/s + 1/d) / sqrt(e) bounds the kernel's slope in either
@@ -203,33 +197,39 @@ def floor_constants(a: PolyCurve, b: PolyCurve, params: KernelParams,
     base = chords * (_DROP_SCALE * lb * hess)
     base += _DROP_SCALE * 2.0 * lip * lb
     return (a.nodes, value, length(a),
-            2.0 * spread * match_slack(a.n, b.n, 1.0, lb),
-            _DROP_SCALE * 2.0 * lip * lb, grad, chords * (1.0 - 1e-6),
-            _DROP_SCALE * 2.0 * lb, base, errors, kl * (4.0 * _DROP_SCALE))
+            2.0 * spread * match_slack(a.n, b.n, 1.0, lb), grad,
+            chords * (1.0 - 1e-6), _DROP_SCALE * 2.0 * lb, base, errors)
 
 
-def match_floor(constants, nodes: np.ndarray, lengths: np.ndarray,
-                total: float, need: float) -> float:
+def match_floor(constants, nodes: np.ndarray, total: float,
+                need: float) -> float:
     """A lower bound on the computed match_distance(a2, b, params) of the
-    curve a2 with these nodes, chord lengths and their sum total, from the
-    ``floor_constants`` of a curve a and the same b and params: a Lipschitz
-    floor when it exceeds need (a caller's rejection threshold) already,
-    else the larger of it and, where a's chords outlast the move, a
-    second-order floor about a.
+    curve a2 with these nodes and total chord length, from the
+    ``floor_constants`` of a curve a and the same b and params; -inf where
+    some chord of a does not outlast the move or the floor cannot exceed
+    need, a caller's rejection threshold.
 
-    The Lipschitz floor is H_0 - Delta - s(a) - s(a2).  Write H* for H
-    evaluated exactly on the nodes, l and l2 for the chord lengths of a
-    and a2, L_b for b's length, and phi_ij = l_i |n_i - m_j|^2, so that
-    H* = sum_ij phi_ij K_ij l_bj.  As a function of chord_i,
-    phi_ij = (1 + |m_j|^2) |chord_i| - 2 <rot90(chord_i), m_j> is
-    (1 + |m_j|)^2 = 4-Lipschitz and at most 4 l_i, and K_ij is
-    Lip_K-Lipschitz in the midpoint c_i (see ``floor_constants``).  The node
-    displacement delta = a2 - a moves chord_i by at most
-    D_i = |delta_i| + |delta_{i+1}| and c_i by at most D_i / 2, so with
-    phi2 K2 - phi K = (phi2 - phi) K + phi2 (K2 - K),
+    The floor is H_0 + <G, delta> - Rem - Err - s(a) - s(a2) for the node
+    displacement delta = a2 - a.  Write H* for H evaluated exactly on the
+    nodes, l for a's chord lengths, L_b for b's length, and
+    phi_ij = l_i |n_i - m_j|^2, so that H* = sum_ij phi_ij K_ij l_bj.  As a
+    function of chord_i, phi_ij = (1 + |m_j|^2) |chord_i|
+    - 2 <rot90(chord_i), m_j> is (1 + |m_j|)^2 = 4-Lipschitz and at most
+    4 |chord_i|, and K_ij is Lip_K-Lipschitz in the midpoint c_i (see
+    ``floor_constants``).  Along a + t delta, t in [0, 1], chord_i moves at
+    speed at most D_i = |delta_i| + |delta_{i+1}| and c_i at most D_i / 2.
+    Where every l_i > D_i, the term T_ij = phi_ij K_ij l_bj is smooth, as
+    |chord_i| >= l_i - D_i > 0, and |phi''| = (1 + |m_j|^2) / |chord_i|
+    <= 2 / (l_i - D_i); also |phi'| <= 4, phi <= 4 (l_i + D_i), K <= 2,
+    |grad K| <= Lip_K and |grad^2 K| <= h = 1/s^2 + 1/d^2 (each Gaussian's
+    Hessian has norm at most 1/w^2).  So |T_ij''| <= l_bj D_i^2
+    (4 / (l_i - D_i) + 4 Lip_K + (l_i + D_i) h), and Taylor's theorem gives
+    H*(a2) >= H*(a) + <grad H*(a), delta> - Rem,
 
-        H*(a2) >= H*(a) - Delta,
-        Delta = sum_i D_i (4 (K l_b)_i + 2 Lip_K L_b l2_i).
+        Rem = L_b / 2 sum_i D_i^2 (4 / (l_i - D_i) + 4 Lip_K + 2 l_i h),
+
+    using l_i + D_i < 2 l_i, which costs little: 2 l_i h is below 4 / l_i
+    wherever l_i is below the smaller kernel width.
 
     The computed H of a curve x lies within
     s(x) = 2 (1 + Lip_K (R_a + R_b)) match_slack(n, m, L_x, L_b) of H*,
@@ -244,32 +244,15 @@ def match_floor(constants, nodes: np.ndarray, lengths: np.ndarray,
     4 ulps (8u relative), so K is within 32u of k at the computed
     midpoints; those lie within u |c| of the exact ones, which moves k by
     at most Lip_K u (|c| + |d|) <= sqrt(2) Lip_K u (R_a + R_b).  With
-    n + m >= 6,
-    match_slack >= 352 u L_x L_b covers the 256 and the final subtraction
-    here; the factor 1 + Lip_K (R_a + R_b) covers the rest.  For a2,
-    |c2_i| <= |c_i| + D_i / 2, and that excess moves its terms by at most
-    2u Lip_K L_b l2_i D_i in all, a u-fraction of Delta.  The computed
-    K l_b is within 4 (m + 16) (1 + Lip_K (R_a + R_b)) u L_b of its exact
-    value (the same inputs, plus m roundings of the product), which is
-    added to it: P_i below is this upper bound on the exact (K l_b)_i.
-    Delta's own rounding and these u-fractions are covered by scaling it
-    by 1 + 1e-6.
-
-    The second-order floor is H_0 + <G, delta> - Rem - Err - s(a) - s(a2),
-    available when every l_i > D_i.  Along a + t delta, t in [0, 1], the
-    term T_ij = phi_ij K_ij l_bj is then smooth: |chord_i| >= l_i - D_i > 0,
-    where |phi''| = (1 + |m_j|^2) / |chord_i| <= 2 / (l_i - D_i); also
-    |phi'| <= 4, phi <= 4 (l_i + D_i), K <= 2, |grad K| <= Lip_K and
-    |grad^2 K| <= h = 1/s^2 + 1/d^2 (each Gaussian's Hessian has norm at
-    most 1/w^2).  With chord_i moving at speed at most D_i and c_i at most
-    D_i / 2, |T_ij''| <= l_bj D_i^2 (4 / (l_i - D_i) + 4 Lip_K
-    + (l_i + D_i) h), and Taylor's theorem gives
-    H*(a2) >= H*(a) + <grad H*(a), delta> - Rem,
-
-        Rem = L_b / 2 sum_i D_i^2 (4 / (l_i - D_i) + 4 Lip_K + 2 l_i h),
-
-    using l_i + D_i < 2 l_i, which costs little: 2 l_i h is below 4 / l_i
-    wherever l_i is below the smaller kernel width.
+    n + m >= 6, match_slack >= 352 u L_x L_b covers the 256 and the final
+    subtraction here; the factor 1 + Lip_K (R_a + R_b) covers the rest.
+    For a2, |c2_i| <= |c_i| + D_i / 2, and that excess moves its terms by
+    at most 2u Lip_K L_b l2_i D_i < 12u Lip_K L_b R_a D_i in all
+    (l2_i < 2 l_i <= 4 sqrt(2) R_a), within what w2's 384 Lip_K term
+    leaves over the 17 that G's error takes (below).  The computed K l_b
+    is within 4 (m + 16) (1 + Lip_K (R_a + R_b)) u L_b of its exact value
+    (the same inputs, plus m roundings of the product), which is added to
+    it: P_i below is this upper bound on the exact (K l_b)_i.
 
     The computed test r_i - D_i > 0, with r = l (1 - 1e-6), implies
     l_i > D_i for the exact lengths and displacements, and 4 / (r_i - D_i)
@@ -298,47 +281,44 @@ def match_floor(constants, nodes: np.ndarray, lengths: np.ndarray,
     <= 17 (R_a + R_b) l_i (K' l_b)_i, with (K' l_b)_i <= P_i / min(s, d)^2;
     its rounding and that of n, m, l and the midpoints move q_i by at most
     64 (m + 16) u (R_a + R_b) l_i (K' l_b)_i (the 32 (m + 16) term of w2
-    for q / 2).  K'
-    is within 16 h u of its value at the computed midpoints (exp as for K,
-    and one division), which lie within u |c| of the exact ones, moving K'
-    by at most sqrt(2) Lip'_K u (R_a + R_b): q / 2 moves by at most
-    9 (R_a + R_b) l_i L_b u (16 h + 2 Lip'_K (R_a + R_b)).  Last, |G_k| is
-    at most the Lipschitz weights (plus Err's weights) of segments k - 1
-    and k, so the 2n + 8 roundings of G's assembly, of the length-2n dot
-    product, of delta and of the floor's final sums cost at most
+    for q / 2).  K' is within 16 h u of its value at the computed
+    midpoints (exp as for K, and one division), which lie within u |c| of
+    the exact ones, moving K' by at most sqrt(2) Lip'_K u (R_a + R_b):
+    q / 2 moves by at most 9 (R_a + R_b) l_i L_b u (16 h + 2 Lip'_K
+    (R_a + R_b)).  Last, |p_i| <= 4 (K l_b)_i (|phi'| <= 4) and
+    |q_i| / 2 <= 2 Lip_K L_b l_i (phi <= 4 l_i, |grad K| <= Lip_K), so |G_k|
+    is at most 4 P_i + 2 Lip_K L_b l_i (plus w2_i) summed over segments
+    k - 1 and k, and the 2n + 8 roundings of G's assembly, of the length-2n
+    dot product, of delta and of the floor's final sums cost at most
     (2n + 8) u (4 P_i + 2 Lip_K L_b l_i) D_i.  Rem and Err are scaled by
-    1 + 1e-6 for their own rounding.  A gradient that is not finite gives
-    no second-order floor: the comparison with the Lipschitz floor fails.
+    1 + 1e-6 for their own rounding.
 
-    So computed H(a2) >= H*(a2) - s(a2) >= H*(a) - Delta - s(a2)
-    >= H_0 - s(a) - Delta - s(a2), and likewise from H*(a) + <grad H*, delta>
-    - Rem.  A caller rejecting a trial iff fl(E + floor) > bound makes the
-    argument of ``match_slack``'s caller: rounding being monotone,
-    fl(E + H(a2)) > bound too.
+    So computed H(a2) >= H*(a2) - s(a2) >= H*(a) + <grad H*(a), delta>
+    - Rem - s(a2) >= H_0 + <G, delta> - Rem - Err - s(a) - s(a2).  The
+    floor's first-order part H_0 + <G, delta> - s(a) - s(a2) bounds it
+    (Rem, Err >= 0): where that is not in (need, inf), as for a gradient
+    that is not finite, -inf is returned first.  A caller rejecting a
+    trial iff fl(E + floor) > bound makes the argument of ``match_slack``'s
+    caller: rounding being monotone, fl(E + H(a2)) > bound too.
     """
-    (origin, value, length_a, per_length, scale, grad, chords, four_half,
-     base, errors, weights) = constants
+    (origin, value, length_a, per_length, grad, chords, four_half, base,
+     errors) = constants
     delta = nodes - origin
+    slack = per_length * (length_a + total)
+    first = value + float(np.vdot(grad, delta)) - slack
+    if not need < first < math.inf:
+        return -math.inf
     d = np.hypot(delta[:, 0], delta[:, 1])
     d += cyclic_shift(d, -1, 0)                       # D_i
-    slack = per_length * (length_a + total)
-    per_node = lengths * scale
-    per_node += weights
-    floor = value - float(d @ per_node) - slack
-    if floor > need:
-        return floor
     gap = chords - d
-    if gap.min() > 0:
-        # D_i (L_b/2 (4 / (l_i - D_i) + 4 Lip_K + 2 l_i h) D_i + w2_i)
-        per_node = np.divide(four_half, gap, out=gap)
-        per_node += base
-        per_node *= d
-        per_node += errors
-        second = value + float(np.vdot(grad, delta)) - float(
-            d @ per_node) - slack
-        if floor < second < math.inf:
-            return second
-    return floor
+    if gap.min() <= 0:
+        return -math.inf
+    # D_i (L_b/2 (4 / (l_i - D_i) + 4 Lip_K + 2 l_i h) D_i + w2_i)
+    per_node = np.divide(four_half, gap, out=gap)
+    per_node += base
+    per_node *= d
+    per_node += errors
+    return first - float(d @ per_node)
 
 
 def match_distance(a: PolyCurve, b: PolyCurve, params: KernelParams, *,

@@ -9,12 +9,12 @@ test suite rather than trusted on faith.
 Descent uses backtracking Armijo line search.  A step whose iterate fails
 the discrete immersion test on any slice is treated as a line-search
 rejection, which keeps all iterates inside the open set of immersed curves.
-A trial is evaluated immersion, then energy, then a lower bound on its
-match term, then match, and stops at the first of them that rejects it
-(see ``objective``'s bound).  One endpoint object (``KernelMatch``)
-serves a whole run and keeps two records: the last trial's curve with its
-H and kernel, and the iterate's last slice with its H, gradient and match
-floor, the floor built with the gradient.
+A trial is evaluated immersion, then energy, then a second-order lower
+bound on its match term about the iterate, then match, and stops at the
+first of them that rejects it (see ``objective``'s bound).  One endpoint
+object (``KernelMatch``) serves a whole run and keeps two records: the
+last trial's curve with its H and kernel, and the iterate's last slice
+with its H, gradient and match floor, the floor built with the gradient.
 """
 
 from __future__ import annotations
@@ -175,14 +175,13 @@ class KernelMatch:
         """Whether energy + L > bound, L being ``match_slack``'s -slack or
         ``match_floor``'s bound about the iterate: as L is below the
         computed H and rounding is monotone, energy + H > bound too."""
-        lengths = h.chord_lengths[-1]
-        total = float(lengths.sum())
+        total = float(h.chord_lengths[-1].sum())
         if energy - match_slack(h.n, self.target.n, total,
                                 self._target_length) > bound:
             return True
         floor = self._iterate[3]
         return floor is not None and energy + match_floor(
-            floor, h.grid[-1], lengths, total, bound - energy) > bound
+            floor, h.grid[-1], total, bound - energy) > bound
 
 
 def _endpoint(endpoint, target: PolyCurve, params: KernelParams):

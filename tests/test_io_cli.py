@@ -336,6 +336,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    # arrays of 2.27 PiB (the constant init) and 7.1 PiB (the resampling's
+    # arclength grid): above the 128 TiB of address space a Linux process
+    # gets by default, so their allocation fails at once, touching no memory
+    @pytest.mark.parametrize("grid", ["1e13,16", "4,1e15"])
+    def test_grid_too_large_to_allocate_exits_1(self, rng, tmp_path, capsys,
+                                                grid):
+        src, tgt = self.pair(rng, tmp_path)
+        rc = main(["geodesic", "--source", src, "--target", tgt,
+                   "--out", str(tmp_path / "o"), "--grid", grid])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: Unable to allocate ")
+
     def test_missing_source_exits_1(self, tmp_path, capsys):
         rc = main(["match", "--source", str(tmp_path / "no.json"),
                    "--target", str(tmp_path / "no.json")])

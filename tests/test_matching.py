@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,8 +144,7 @@ def _constants(a, b, kp):
 
 
 def _trial_floor(a, a2, b, kp):
-    return match_floor(_constants(a, b, kp), a2.nodes, a2.chord_lengths,
-                       length(a2), np.inf)
+    return match_floor(_constants(a, b, kp), a2.nodes, length(a2), -np.inf)
 
 
 class TestMatchFloor:
@@ -176,16 +177,21 @@ class TestMatchFloor:
         assert match_distance(a2, b, kp) >= _trial_floor(a, a2, b, kp)
 
     @staticmethod
-    def _lipschitz_floor(constants, a2):
-        """The first-order floor alone, from the constants' Lipschitz part:
-        H_0 - sum_i D_i (w_i + c l2_i) - q (L_a + L_a2)."""
-        origin, value, length_a, per_length, scale = constants[:5]
-        d = np.hypot(*(a2.nodes - origin).T)
+    def _taylor_floor(constants, a2):
+        """The floor written out from floor_constants' entries and summed
+        by math.fsum: H_0 + <G, delta> - sum_i D_i (D_i (e / (r_i - D_i) + v_i)
+        + w2_i) - q (L_a + L_a2), or -inf where some r_i <= D_i; with the
+        sum of its terms' absolute values."""
+        origin, value, length_a, per_length, grad, r, e, v, w2 = constants
+        delta = a2.nodes - origin
+        d = np.hypot(*delta.T)
         d += np.roll(d, -1)
-        per_node = a2.chord_lengths * scale
-        per_node += constants[-1]
-        return value - float(d @ per_node) - per_length * (length_a
-                                                           + length(a2))
+        if np.any(d >= r):
+            return -np.inf, np.inf
+        terms = [value, *(grad * delta).ravel(),
+                 *-(d * d * (e / (r - d) + v) + w2 * d),
+                 -per_length * (length_a + length(a2))]
+        return math.fsum(terms), math.fsum(map(abs, terms))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 256),
@@ -204,6 +210,12 @@ class TestMatchFloor:
         constants = floor_constants(a, b, kp, value, kl, grad)
         nan_constants = floor_constants(a, b, kp, value, kl,
                                         np.full_like(grad, np.nan))
+        # e = 2 L_b and v = L_b (2 Lip_K + l h), each scaled by 1 + 1e-6
+        lip = (1 / kp.sigma + 1 / kp.delta) * math.exp(-0.5)
+        hess = 1 / kp.sigma ** 2 + 1 / kp.delta ** 2
+        assert constants[6] == pytest.approx(2 * length(b), rel=2e-6)
+        assert constants[7] == pytest.approx(
+            length(b) * (2 * lip + a.chord_lengths * hess), rel=2e-6)
         move = -grad if descent else rng.standard_normal((n, 2))
         reach = np.hypot(*move.T)
         reach += np.roll(reach, -1)                   # D_i per unit step
@@ -212,41 +224,72 @@ class TestMatchFloor:
             a2 = PolyCurve(a.nodes + t * move)
             d = np.hypot(*(a2.nodes - a.nodes).T)
             d += np.roll(d, -1)
-            args = a2.nodes, a2.chord_lengths, length(a2)
-            floor = match_floor(constants, *args, np.inf)
-            lipschitz = self._lipschitz_floor(constants, a2)
+            args = a2.nodes, length(a2)
+            floor = match_floor(constants, *args, -np.inf)
+            taylor, size = self._taylor_floor(constants, a2)
             assert floor <= match_distance(a2, b, kp)
-            assert floor >= lipschitz
-            # a NaN gradient adds nothing to the Lipschitz floor, and a
-            # Lipschitz floor above need is returned at once
-            assert match_floor(nan_constants, *args, np.inf) == lipschitz
-            assert match_floor(constants, *args, lipschitz - 1.0) \
-                == lipschitz
+            assert floor == taylor or abs(floor - taylor) <= 1e-12 * size
+            # a NaN gradient gives no floor
+            assert match_floor(nan_constants, *args, -np.inf) == -np.inf
             if np.any(d >= a.chord_lengths):
-                assert floor == lipschitz
+                assert floor == -np.inf
             elif t <= 1e-3 * t_out:
-                assert floor > lipschitz
+                assert floor > -np.inf
 
-    def test_nan_gradient_never_rejects(self, rng, monkeypatch):
-        # a bound between the two floors: the second-order floor rejects
-        # the trial, and an iterate with a NaN gradient does not
+    def test_first_order_part_exits_early(self, rng):
+        # -inf exactly where need >= H_0 + <G, delta> - s(a) - s(a2), the
+        # first-order part, and the full floor below it
+        a = fourier_curve(rng, 64)
+        b = fourier_curve(rng, 64, center=(0.55, 0.45))
+        constants = _constants(a, b, KP)
+        origin, value, length_a, per_length, grad = constants[:5]
+        for t in (1e-9, 1e-6, 1e-3):
+            a2 = PolyCurve(a.nodes - t * grad)
+            args = a2.nodes, length(a2)
+            first = value + float(np.vdot(grad, a2.nodes - origin)) \
+                - per_length * (length_a + length(a2))
+            floor = match_floor(constants, *args, -np.inf)
+            taylor, size = self._taylor_floor(constants, a2)
+            assert abs(floor - taylor) <= 1e-12 * size
+            assert -np.inf < floor < first
+            for need in (floor, np.nextafter(first, -np.inf)):
+                assert match_floor(constants, *args, need) == floor
+            for need in (first, np.nextafter(first, np.inf), np.inf):
+                assert match_floor(constants, *args, need) == -np.inf
+
+    def _never_rejects(self, rng, monkeypatch, bad):
+        """With a bound just below the floor, an iterate with its gradient
+        rejects the trial, and one whose gradient is bad, wholly or in the
+        entry where bad times the displacement is +inf (or NaN), does not."""
         a = fourier_curve(rng, 64)
         b = fourier_curve(rng, 64, center=(0.55, 0.45))
         grad = match_gradient(a, b, KP)
         a2 = PolyCurve(a.nodes - 1e-6 * grad)
-        floor = _trial_floor(a, a2, b, KP)
-        lipschitz = self._lipschitz_floor(_constants(a, b, KP), a2)
-        assert lipschitz < floor
+        floor, size = self._taylor_floor(_constants(a, b, KP), a2)
         trial = Homotopy(np.stack([a.nodes, a2.nodes]))
-        bound = 0.5 * (lipschitz + floor)
+        bound = floor - 1e-9 * size
         endpoint = KernelMatch(b, KP)
         endpoint.gradient(a)
         assert endpoint.rejects(trial, 0.0, bound)
-        monkeypatch.setattr(optimize, "match_gradient",
-                            lambda *args: np.full((a.n, 2), np.nan))
-        endpoint = KernelMatch(b, KP)
-        assert np.isnan(endpoint.gradient(a)).all()
-        assert not endpoint.rejects(trial, 0.0, bound)
+        entry = grad.copy()
+        entry.flat[np.flatnonzero(bad * -grad == np.inf)[0]
+                   if np.isinf(bad) else 0] = bad
+        for bad_grad in (np.full_like(grad, bad), entry):
+            monkeypatch.setattr(optimize, "match_gradient",
+                                lambda *args, g=bad_grad: g.copy())
+            endpoint = KernelMatch(b, KP)
+            assert not np.isfinite(endpoint.gradient(a)).all()
+            assert not endpoint.rejects(trial, 0.0, bound)
+
+    def test_nan_gradient_never_rejects(self, rng, monkeypatch):
+        self._never_rejects(rng, monkeypatch, np.nan)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_never_rejects(self, rng, monkeypatch, bad):
+        # with an entry where <G, delta> is +inf, only the test that the
+        # first-order part is below inf keeps the floor from being +inf,
+        # which would reject any trial
+        self._never_rejects(rng, monkeypatch, bad)
 
     def test_value_is_match_distance(self, rng, monkeypatch):
         a = fourier_curve(rng, 40)
@@ -292,20 +335,19 @@ class TestMatchFloor:
 
     @pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
     def test_kernel_term_needed_on_coarse_curves(self, rng, t):
-        # chords of 0.12 against widths of 0.01: down the gradient, H falls
-        # by more than the normal-mismatch term 4 (K l_b)_i D_i allows, and
-        # the floor holds only through the kernel term 2 Lip_K L_b l2_i D_i
+        # chords of about 0.12 against widths of 0.01: the remainder's
+        # kernel terms L_b (2 Lip_K + l_i h) outweigh its chord term
+        # 2 L_b / l_i more than twentyfold, and down the gradient the floor
+        # stays finite and at most H
         a = fourier_curve(rng, 16)
         b = fourier_curve(rng, 16, center=(0.8, 0.45))
         kp = KernelParams(0.01, 0.01)
         grad = match_gradient(a, b, kp)
         a2 = PolyCurve(a.nodes - t * 0.3 * grad / np.max(np.abs(grad)))
-        value = match_distance(a2, b, kp)
-        d = np.hypot(*(a2.nodes - a.nodes).T)
-        constants = _constants(a, b, kp)
-        weights = constants[-1]
-        assert value < constants[1] - (d + np.roll(d, -1)) @ weights
-        assert value >= _trial_floor(a, a2, b, kp)
+        chords, chord_term, kernel_terms = _constants(a, b, kp)[5:8]
+        assert np.all(kernel_terms > 20 * chord_term / chords)
+        assert -np.inf < _trial_floor(a, a2, b, kp) \
+            <= match_distance(a2, b, kp)
 
 
 class TestKeptKernel:
