@@ -93,7 +93,7 @@ def load_curve(path) -> PolyCurve:
 
 
 def save_curve(curve: PolyCurve, path) -> None:
-    doc = {"nodes": [[float(x), float(y)] for x, y in curve.nodes]}
+    doc = {"nodes": curve.nodes.tolist()}
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
@@ -126,7 +126,8 @@ def save_homotopy(h: Homotopy, path) -> None:
         # tolist gives Python floats: the same repr, in one C pass
         "slices": h.grid.tolist(),
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    # a tolist() document holds no cycles to look for
+    Path(path).write_text(json.dumps(doc, check_circular=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +198,7 @@ CONFIG_KEYS = {
     "weights": _numbers(3), "kernel": _numbers(2), "eps_schedule": _numbers(),
     "grid": _numbers(2, integer=True),
     "exponent": _int, "max_iters": _int, "seed": _int,
-    "eps": _float, "sigma": _float, "delta": _float, "tau0": _float,
-    "shrink": _float, "armijo": _float, "grad_tol": _float,
+    "eps": _float, "sigma": _float, "delta": _float, "grad_tol": _float,
 }
 _PAIRS = {"kernel": ("sigma", "delta"), "grid": ("N", "n")}
 _SECTIONS = {"metric": MetricSpec, "kernel": KernelParams,

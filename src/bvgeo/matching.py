@@ -72,10 +72,10 @@ class KernelParams:
         for name in ("sigma", "delta"):
             value = converted(float, getattr(self, name))
             object.__setattr__(self, name, value)
-        if not all(w > 0 and 2.0 ** -1022 <= w * w < math.inf
-                   for w in (self.sigma, self.delta)):
-            raise ValueError("kernel widths must be positive, with finite "
-                             "normal squares: 1.5e-154 to 1.3e154")
+        # the match floor divides by each width cubed: a finite, nonzero float
+        if not all(1e-100 <= w <= 1e100 for w in (self.sigma, self.delta)):
+            raise ValueError("kernel widths must be finite, "
+                             "in [1e-100, 1e100]")
 
 
 def kernel(v, w, params: KernelParams) -> float:

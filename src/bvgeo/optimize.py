@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import PolyCurve, converted, inner, length
+from .curves import PolyCurve, converted, length
 from .matching import (KernelParams, floor_constants, match_distance,
                        match_floor, match_gradient, match_slack)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
@@ -41,9 +41,6 @@ class OptimConfig:
     """
 
     max_iters: int = 2000
-    tau0: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
     grad_tol: float = 1e-6
     eps_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
     seed: int = 0
@@ -52,18 +49,9 @@ class OptimConfig:
         for name in ("max_iters", "seed"):
             value = converted(operator.index, getattr(self, name))
             object.__setattr__(self, name, value)
-        for name in ("tau0", "shrink", "armijo", "grad_tol"):
-            value = converted(float, getattr(self, name))
-            object.__setattr__(self, name, value)
-        for name in ("max_iters", "seed"):
-            if not getattr(self, name) >= 0:
+            if not value >= 0:
                 raise ValueError(f"{name} must be a nonnegative integer")
-        if not 0 < self.tau0 < np.inf:
-            raise ValueError("tau0 must be positive and finite")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must be in (0, 1)")
-        if not 0 < self.armijo < 1:
-            raise ValueError("armijo constant must be in (0, 1)")
+        object.__setattr__(self, "grad_tol", converted(float, self.grad_tol))
         if not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be positive and finite")
         sched = tuple(converted(float, e) for e in self.eps_schedule)
@@ -74,6 +62,14 @@ class OptimConfig:
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
         object.__setattr__(self, "eps_schedule", sched)
+
+
+# The line search: a stage's first trial step is TAU0 / (1 + |g|_inf); each
+# later iteration first tries the last accepted step over SHRINK (twice it);
+# each rejected trial, whether not immersed or short of the Armijo decrease
+# f - ARMIJO t |g|^2, multiplies the step by SHRINK (halves it); and the
+# search gives up below 1e-20 of the stage's first step.
+TAU0, SHRINK, ARMIJO = 1.0, 0.5, 1e-4
 
 
 # one value per iterate in each: the stage's eps, the objective and its two
@@ -251,7 +247,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     g = gradient(h, target, spec, params, endpoint)
     gnorm = float(np.max(np.abs(g)))
     tol = cfg.grad_tol * max(gnorm, 1e-300)
-    tau = cfg.tau0 / (1.0 + gnorm)
+    tau = TAU0 / (1.0 + gnorm)
     report.extend([(spec.eps, f, e_part, m_part, gnorm, 0.0)])
 
     min_tau = 1e-20 * tau
@@ -263,27 +259,23 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
             report.termination = "grad_tol"
             break
         gsq = float(np.sum(g * g))
-        accepted = False
         t = tau
         while t > min_tau:
             cand = Homotopy(h.grid - t * g)
-            if cand.validate_slices() is not None:
-                t *= cfg.shrink
-                continue
-            threshold = f - cfg.armijo * t * gsq
-            f_new, e_new, m_new = objective(cand, target, spec, params,
-                                            endpoint, bound=threshold)
-            if f_new <= threshold:
-                accepted = True
-                break
-            t *= cfg.shrink
-        if not accepted:
+            if cand.validate_slices() is None:
+                threshold = f - ARMIJO * t * gsq
+                f_new, e_new, m_new = objective(cand, target, spec, params,
+                                                endpoint, bound=threshold)
+                if f_new <= threshold:
+                    break
+            t *= SHRINK
+        else:
             if it == 0:
                 raise LineSearchError(
                     "line search failed at iteration 0; check problem scaling")
             report.termination = "line_search_failure"
             break
-        # accepted only because armijo * t * gsq is below the rounding of f
+        # accepted only because ARMIJO * t * gsq is below the rounding of f
         if f_new >= f:
             report.termination = "stalled"
             break
@@ -291,8 +283,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         f, e_part, m_part = f_new, e_new, m_new
         g = gradient(h, target, spec, params, endpoint)
         gnorm = float(np.max(np.abs(g)))
-        # gentle step growth so backtracking stays cheap
-        tau = t / cfg.shrink
+        tau = t / SHRINK
         report.extend([(spec.eps, f, e_part, m_part, gnorm, t)])
     else:
         report.termination = "max_iters"
@@ -393,8 +384,11 @@ def align_start_node(source: PolyCurve, target: PolyCurve) -> PolyCurve:
     """
     if source.n != target.n:
         raise ValueError("node counts differ")
+    # dist[i, j] = |target_i - source_j|
+    dist = np.subtract.outer(target.nodes[:, 0], source.nodes[:, 0]) ** 2
+    dist += np.subtract.outer(target.nodes[:, 1], source.nodes[:, 1]) ** 2
+    np.sqrt(dist, out=dist)
     # row s holds the node indices of the target shifted by s
     shifted = (np.arange(target.n)[:, None] + np.arange(target.n)) % target.n
-    diff = target.nodes[shifted] - source.nodes
-    costs = np.sum(np.sqrt(inner(diff, diff)), axis=1)
+    costs = np.sum(dist[shifted, np.arange(target.n)], axis=1)
     return PolyCurve(target.nodes[shifted[np.argmin(costs)]])

@@ -28,8 +28,9 @@ def _polyline(nodes: np.ndarray, scale: float, offset: np.ndarray,
               height: float, style: str) -> str:
     pts = (nodes - offset) * scale
     # SVG y axis points down
-    # rows as Python floats, which format as np.float64 does, but faster
-    coords = " ".join(f"{x:.3f},{height - y:.3f}" for x, y in pts.tolist())
+    np.subtract(height, pts[:, 1], out=pts[:, 1])
+    # one format over Python floats, which print as np.float64 does
+    coords = " ".join(["%.3f,%.3f"] * len(pts)) % tuple(pts.ravel().tolist())
     return f'  <polygon points="{coords}" fill="none" {style}/>'
 
 

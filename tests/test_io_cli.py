@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,20 @@ class TestCurveFiles:
         save_curve(c, p)
         back = load_curve(p)
         assert np.array_equal(back.nodes, c.nodes)
+
+    def test_bytes_match_per_point_floats(self, rng, tmp_path):
+        # the document is the one the per-point float() formula wrote,
+        # byte for byte, with -0.0, subnormal and large coordinates
+        nodes = fourier_curve(rng, 16).nodes.copy()
+        nodes[:4] = [[-0.0, 0.0], [5e-324, -2.5e-310],
+                     [1.7976931348623157e308, -1e300], [1e-17, 3.0]]
+        c = PolyCurve(nodes)
+        p = tmp_path / "c.json"
+        save_curve(c, p)
+        doc = {"nodes": [[float(x), float(y)] for x, y in c.nodes]}
+        assert p.read_text() == json.dumps(doc) + "\n"
+        assert '[-0.0, 0.0]' in p.read_text()
+        assert load_curve(p).nodes.tobytes() == c.nodes.tobytes()
 
     def test_reemission_byte_identical(self, rng, tmp_path):
         c = fourier_curve(rng, 20)
@@ -258,8 +273,22 @@ class TestConfig:
         assert cfg.normalize_to_unit_square is False
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ParseError, match="unknown key"):
-            parse_config("frobnicate = 3")
+        # the line-search constants are no settings
+        for text in ("frobnicate = 3", "tau0 = 1", "shrink = 0.5",
+                     "armijo = 1e-4"):
+            with pytest.raises(ParseError, match="unknown key"):
+                parse_config(text)
+
+    def test_keys_are_the_settable_fields(self):
+        # each config key sets one leaf field of RunConfig or of a section
+        # (kernel and grid a pair), and every field but a section has a key
+        sections = {"metric", "kernel", "optimizer"}
+        leaves = {f.name for f in fields(RunConfig)} - sections
+        for name in sections:
+            leaves |= {f.name for f in fields(getattr(RunConfig(), name))}
+        keys = set(CONFIG_KEYS) - {"grid", "kernel"} | {"N", "n", "sigma",
+                                                        "delta"}
+        assert keys == leaves
 
     def test_bad_value_types(self):
         with pytest.raises(ParseError):
@@ -278,7 +307,7 @@ class TestConfig:
         assert parse_config("grid = 6.0 32").n == 32
         # non-finite values are refused where they are read
         for text in ("eps = nan", "weights = nan 0 1", "sigma = inf",
-                     "tau0 = inf", "grad_tol = nan",
+                     "delta = inf", "grad_tol = nan",
                      "eps_schedule = 1e-1 nan"):
             with pytest.raises(ParseError, match="finite"):
                 parse_config(text)
@@ -327,7 +356,8 @@ class TestCli:
                                fourier_curve(rng, 120).nodes)
         return src, tgt
 
-    @pytest.mark.parametrize("kernel", ["1e300,0.05", "0.5,1e-200"])
+    @pytest.mark.parametrize("kernel", ["1e300,0.05", "0.5,1e-200",
+                                        "1.3e154,0.05", "0.5,1.5e-154"])
     def test_kernel_width_out_of_range_exits_1(self, rng, tmp_path, capsys,
                                                kernel):
         src, tgt = self.pair(rng, tmp_path)
@@ -335,6 +365,17 @@ class TestCli:
                    "--kernel", kernel])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("kernel", ["1e100,1e-100", "1e-100,1e100"])
+    def test_kernel_width_range_ends_run(self, rng, tmp_path, capsys, kernel):
+        # the match floor cubes both widths: at the ends of their range
+        # geodesic and check-grad still run clean
+        src, tgt = self.pair(rng, tmp_path)
+        assert main(["geodesic", "--source", src, "--target", tgt,
+                     "--out", str(tmp_path / "run"), "--grid", "4,24",
+                     "--eps-schedule", "1e-2", "--kernel", kernel]) == 0
+        assert main(["check-grad", "--kernel", kernel]) == 0
+        assert capsys.readouterr().err == ""
 
     # arrays of 2.27 PiB (the constant init) and 7.1 PiB (the resampling's
     # arclength grid): above the 128 TiB of address space a Linux process

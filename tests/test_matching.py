@@ -34,13 +34,15 @@ class TestKernel:
     def test_invalid_widths(self):
         with pytest.raises(ValueError):
             KernelParams(sigma=0.0, delta=0.1)
-        # the kernel divides by each width squared: that square must be a
-        # finite normal float
-        with pytest.raises(ValueError):
-            KernelParams(sigma=1e300, delta=0.05)
-        with pytest.raises(ValueError):
-            KernelParams(sigma=0.5, delta=1e-200)
-        KernelParams(sigma=1.3e154, delta=1.5e-154)
+        # the match floor divides by each width cubed, so a width must be in
+        # [1e-100, 1e100]; beyond 1.3e154 or below 1.5e-154 the cube is not
+        # even a finite nonzero float
+        for sigma, delta in ((1e300, 0.05), (0.5, 1e-200), (1.3e154, 0.05),
+                             (0.5, 1.5e-154), (1.01e100, 0.05),
+                             (0.5, 9.9e-101)):
+            with pytest.raises(ValueError, match=r"\[1e-100, 1e100\]"):
+                KernelParams(sigma=sigma, delta=delta)
+        KernelParams(sigma=1e100, delta=1e-100)
 
 
 class TestMatchDistance:

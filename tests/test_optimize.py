@@ -375,9 +375,9 @@ class TestBoundedTrials:
     def test_rejected_trials_build_few_kernels(self, builds):
         # crossing ellipses at (N, n) = (5, 32) with the default spec and
         # kernel, 10 iterations per stage: each accepted trial and the
-        # first stage's start build a kernel, and the match floor turns
-        # back every rejected trial but (at most) the margin of 2 before
-        # its kernel; without the floor's second-order part, 72 builds
+        # first stage's start build a kernel, and the energy test and the
+        # second-order match floor turn back every rejected trial but (at
+        # most) the margin of 2 before its kernel
         theta = 2 * np.pi * np.arange(32) / 32
         src, tgt = (PolyCurve(np.stack([0.5 + rx * np.cos(theta),
                                         0.5 + ry * np.sin(theta)], axis=1))
@@ -758,8 +758,7 @@ class TestInitializers:
     (KernelParams, "sigma", np.nan), (KernelParams, "sigma", np.inf),
     (KernelParams, "delta", np.nan), (MetricSpec, "eps", np.nan),
     (MetricSpec, "eps", np.inf), (MetricSpec, "weights", (1, np.nan, 1)),
-    (MetricSpec, "weights", (1, np.inf, 1)), (OptimConfig, "tau0", np.nan),
-    (OptimConfig, "tau0", np.inf), (OptimConfig, "grad_tol", np.nan),
+    (MetricSpec, "weights", (1, np.inf, 1)), (OptimConfig, "grad_tol", np.nan),
     (OptimConfig, "grad_tol", np.inf),
     (OptimConfig, "eps_schedule", (np.nan,)),
     (OptimConfig, "eps_schedule", (np.inf, 1e-2)),
@@ -768,7 +767,7 @@ class TestInitializers:
       for cls, field, value in [
           (KernelParams, "sigma", 10**400), (MetricSpec, "eps", 10**400),
           (MetricSpec, "weights", (10**400, 0, 1)),
-          (OptimConfig, "tau0", 10**400), (OptimConfig, "grad_tol", 10**400),
+          (OptimConfig, "grad_tol", 10**400),
           (OptimConfig, "eps_schedule", (10**400,))])],
     ids=lambda v: getattr(v, "__name__", str(v)))
 def test_settings_reject_non_finite(cls, field, value):
@@ -791,11 +790,11 @@ def test_seed_must_be_a_nonnegative_integer(value):
 
 def test_settings_store_converted_values():
     # a float keeps its bits, and max_iters is stored as an int
-    cfg = OptimConfig(max_iters=np.int64(3), tau0=np.float32(0.5),
+    cfg = OptimConfig(max_iters=np.int64(3), grad_tol=np.float32(0.5),
                       eps_schedule=(1, 0.1))
     assert type(cfg.max_iters) is int and cfg.max_iters == 3
     assert type(OptimConfig(seed=np.int64(7)).seed) is int
-    assert type(cfg.tau0) is float and cfg.eps_schedule == (1.0, 0.1)
+    assert type(cfg.grad_tol) is float and cfg.eps_schedule == (1.0, 0.1)
     spec = MetricSpec(eps=np.float64(0.1), weights=(1, 0, 1))
     assert type(spec.eps) is float and spec.eps == 0.1
     assert spec.weights == (1.0, 0.0, 1.0)
