@@ -12,9 +12,9 @@ from .matching import (KernelParams, currents_distance_sq, kernel,
 from .metrics import (BV2, H2, EquivalenceConstants, MetricSpec,
                       bv2_tangent_norm, equivalence_constants, flat_bv2_norm,
                       h2_tangent_norm_sq, j0, j1, j2)
-from .optimize import (LineSearchError, OptimConfig, OptimReport,
-                       align_start_node, continuation, descend, fd_check,
-                       gradient, init_constant, init_linear, objective)
+from .optimize import (OptimConfig, OptimReport, align_start_node,
+                       continuation, descend, fd_check, gradient,
+                       init_constant, init_linear, objective)
 from .paths import (Homotopy, PathDiagnostics, length_bound_check,
                     make_translation_path, path_energy, step_norms,
                     time_constant_speed_reparam, velocity)

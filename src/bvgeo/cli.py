@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: geodesic, energy, check-grad, resample, match, export-svg.
+Subcommands: geodesic, energy, check-grad, match, export-svg, resample.
 Exit codes: 0 success, 1 input/validation error, 2 optimization failure.
 """
 
@@ -22,63 +22,14 @@ from .io import (CONFIG_KEYS, ParseError, RunConfig, apply_settings,
                  save_homotopy)
 from .matching import match_distance
 from .metrics import MetricSpec
-from .optimize import (TRACE_COLUMNS, LineSearchError, align_start_node,
-                       continuation, fd_check, init_constant, init_linear,
-                       objective)
+from .optimize import (TRACE_COLUMNS, align_start_node, continuation,
+                       fd_check, init_constant, init_linear, objective)
 from .paths import Homotopy, path_energy
 from .svg import render_svg
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_OPTIM = 2
-
-
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args reads the parser and changes
-    # nothing in it, so every call of main can share one
-    parser = argparse.ArgumentParser(
-        prog="bvgeo",
-        description="Approximate minimal geodesic homotopies between closed "
-                    "planar curves under BV2 and second-order Sobolev metrics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--source", help="source curve file (JSON or CSV)")
-        p.add_argument("--target", help="target curve file (JSON or CSV)")
-        p.add_argument("--out", help="output path prefix")
-        p.add_argument("--metric", dest="family", choices=["bv2", "h2"])
-        p.add_argument("--eps-schedule", help="comma-separated eps values")
-        p.add_argument("--grid", help="N,n")
-        p.add_argument("--weights", help="w0,w1,w2")
-        p.add_argument("--kernel", help="sigma,delta")
-        p.add_argument("--init", choices=["constant", "linear"])
-
-    p = sub.add_parser("geodesic", help="optimize a homotopy between two curves")
-    add_common(p)
-
-    p = sub.add_parser("energy", help="evaluate the objective on a homotopy file")
-    add_common(p)
-    p.add_argument("homotopy", help="homotopy JSON file")
-
-    p = sub.add_parser("check-grad",
-                       help="finite-difference check of the objective gradient")
-    add_common(p)
-
-    p = sub.add_parser("resample", help="constant-speed resample a curve file")
-    p.add_argument("--source", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--nodes", type=int, default=256)
-
-    p = sub.add_parser("match", help="print the matching term H between two curves")
-    add_common(p)
-
-    p = sub.add_parser("export-svg", help="render a homotopy JSON file to SVG")
-    add_common(p)
-    p.add_argument("homotopy", help="homotopy JSON file")
-
-    return parser
 
 
 def _config_from_args(args) -> RunConfig:
@@ -118,6 +69,11 @@ def _write_trace(report, path: Path) -> None:
         writer.writerows((i,) + row for i, row in enumerate(report.rows))
 
 
+# the terminations that end geodesic with EXIT_OPTIM, with their messages
+_FAILURES = {"non_finite": "objective or gradient is not finite",
+             "line_search_failure": "line search failed"}
+
+
 def _cmd_geodesic(args) -> int:
     cfg = _config_from_args(args)
     source, target = _prepare_pair(cfg)
@@ -125,12 +81,7 @@ def _cmd_geodesic(args) -> int:
         h0 = init_constant(source, cfg.N)
     else:
         h0 = init_linear(source, target, cfg.N)
-    try:
-        report = continuation(h0, target, cfg.metric, cfg.kernel,
-                              cfg.optimizer)
-    except LineSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPTIM
+    report = continuation(h0, target, cfg.metric, cfg.kernel, cfg.optimizer)
     prefix = Path(cfg.out)
     save_homotopy(report.homotopy, prefix.with_suffix(".homotopy.json"))
     _write_trace(report, prefix.with_suffix(".trace.csv"))
@@ -139,9 +90,8 @@ def _cmd_geodesic(args) -> int:
     final = report.objective_trace[-1]
     print(f"objective {final:.6g}  match {report.match_trace[-1]:.6g}  "
           f"termination {report.termination}")
-    if report.termination == "non_finite":
-        print("error: objective or gradient is not finite", file=sys.stderr)
-    if report.termination in ("line_search_failure", "non_finite"):
+    if report.termination in _FAILURES:
+        print(f"error: {_FAILURES[report.termination]}", file=sys.stderr)
         return EXIT_OPTIM
     return EXIT_OK
 
@@ -217,20 +167,71 @@ def _cmd_export_svg(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "geodesic": _cmd_geodesic,
-    "energy": _cmd_energy,
-    "check-grad": _cmd_check_grad,
-    "resample": _cmd_resample,
-    "match": _cmd_match,
-    "export-svg": _cmd_export_svg,
+# every flag that sets a config key, with its help text; --metric sets
+# "family", each other flag the key of its own name with "_" for "-"
+_FLAGS = {
+    "--source": "source curve file (JSON or CSV)",
+    "--target": "target curve file (JSON or CSV)",
+    "--out": "output path prefix",
+    "--metric": "metric family: bv2 or h2",
+    "--eps-schedule": "comma-separated eps values",
+    "--grid": "N,n",
+    "--weights": "w0,w1,w2",
+    "--kernel": "sigma,delta",
+    "--init": "initial homotopy: constant or linear",
+}
+_METRIC_FLAGS = ("--metric", "--eps-schedule", "--weights", "--kernel")
+
+# each subcommand that takes --config: its function, its help, whether it
+# takes a homotopy file operand, and the flags its function reads
+_CONFIGURED = {
+    "geodesic": (_cmd_geodesic, "optimize a homotopy between two curves",
+                 False, tuple(_FLAGS)),
+    "energy": (_cmd_energy, "evaluate the objective on a homotopy file",
+               True, ("--target",) + _METRIC_FLAGS),
+    "check-grad": (_cmd_check_grad, "finite-difference check of the "
+                   "objective gradient", False, _METRIC_FLAGS),
+    "match": (_cmd_match, "print the matching term H between two curves",
+              False, ("--source", "--target", "--grid", "--kernel")),
+    "export-svg": (_cmd_export_svg, "render a homotopy JSON file to SVG",
+                   True, ("--target", "--out")),
 }
 
 
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args reads the parser and changes
+    # nothing in it, so every call of main can share one
+    parser = argparse.ArgumentParser(
+        prog="bvgeo",
+        description="Approximate minimal geodesic homotopies between closed "
+                    "planar curves under BV2 and second-order Sobolev metrics.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, text, operand, flags) in _CONFIGURED.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="flat key = value config file")
+        for flag in flags:
+            p.add_argument(flag, help=_FLAGS[flag],
+                           dest="family" if flag == "--metric" else None)
+        if operand:
+            p.add_argument("homotopy", help="homotopy JSON file")
+    p = sub.add_parser("resample", help="constant-speed resample a curve file")
+    p.set_defaults(run=_cmd_resample)
+    p.add_argument("--source", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--nodes", type=int, default=256)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error (code 2)
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    try:
+        return args.run(args)
     # ZeroDivisionError: the H2 norm of a stored slice with a repeated node;
     # MemoryError: a grid too large to allocate
     except (ParseError, CurveError, OSError, ValueError, ZeroDivisionError,

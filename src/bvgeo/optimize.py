@@ -84,7 +84,8 @@ class OptimReport:
 
     termination is "grad_tol", "max_iters", "stalled" (an Armijo-accepted
     step did not lower the objective), "non_finite" (the objective or the
-    gradient at the iterate is not finite) or "line_search_failure".
+    gradient at the iterate is not finite) or "line_search_failure" (no
+    trial step was accepted, at any iteration: never an exception).
     """
 
     homotopy: Homotopy
@@ -110,10 +111,6 @@ class OptimReport:
     match_trace = property(lambda self: self.columns["match_part"])
     grad_norm_trace = property(lambda self: self.columns["grad_norm"])
     step_trace = property(lambda self: self.columns["step"])
-
-
-class LineSearchError(RuntimeError):
-    """Backtracking failed on the very first iteration (bad scaling)."""
 
 
 def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
@@ -251,7 +248,7 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     report.extend([(spec.eps, f, e_part, m_part, gnorm, 0.0)])
 
     min_tau = 1e-20 * tau
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             report.termination = "non_finite"
             break
@@ -270,9 +267,6 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
                     break
             t *= SHRINK
         else:
-            if it == 0:
-                raise LineSearchError(
-                    "line search failed at iteration 0; check problem scaling")
             report.termination = "line_search_failure"
             break
         # accepted only because ARMIJO * t * gsq is below the rounding of f
@@ -300,8 +294,9 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
 
     Each stage's final objective is recorded both at the stage's own eps and
     re-evaluated at the schedule's smallest eps, so stages are comparable.
-    One endpoint (by default ``KernelMatch``) serves every stage.  A BV2
-    schedule ending at eps = 0 is refused before the first stage runs.
+    One endpoint (by default ``KernelMatch``) serves every stage.  Only a
+    "non_finite" stage stops the schedule.  A BV2 schedule ending at
+    eps = 0 is refused before the first stage runs.
     """
     eps_min = cfg.eps_schedule[-1]
     _require_smooth(spec, eps_min)

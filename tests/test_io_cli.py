@@ -348,6 +348,11 @@ class TestConfig:
             load_config(path)
 
 
+def _subparsers():
+    return next(action for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 class TestCli:
     def pair(self, rng, tmp_path):
         src = write_curve_json(tmp_path / "src.json",
@@ -500,16 +505,79 @@ class TestCli:
     def test_every_shared_flag_is_a_config_key(self):
         # _config_from_args keeps only the flags whose dest is a config key,
         # so a flag without one would be accepted and then ignored
-        sub = next(action for action in _build_parser()._actions
-                   if isinstance(action, argparse._SubParsersAction))
         checked = []
-        for name, parser in sub.choices.items():
+        for name, parser in _subparsers().items():
             dests = {a.dest for a in parser._actions if a.option_strings}
             if "config" in dests:
                 checked.append(name)
                 assert dests - {"help", "config"} <= CONFIG_KEYS.keys(), name
         assert sorted(checked) == ["check-grad", "energy", "export-svg",
                                    "geodesic", "match"]
+
+    def test_subcommand_flags_pinned(self):
+        # each subcommand but resample declares --config and exactly the
+        # flags that its command reads; no flag has argparse choices, as
+        # every value is checked as its config line is
+        metric = {"--metric", "--eps-schedule", "--weights", "--kernel"}
+        want = {
+            "geodesic": metric | {"--source", "--target", "--out", "--grid",
+                                  "--init"},
+            "energy": metric | {"--target"},
+            "check-grad": metric,
+            "match": {"--source", "--target", "--grid", "--kernel"},
+            "export-svg": {"--target", "--out"},
+        }
+        got = {}
+        for name, parser in _subparsers().items():
+            options = {a.option_strings[-1]: a for a in parser._actions
+                       if a.option_strings}
+            assert all(a.choices is None for a in options.values()), name
+            got[name] = options.keys() - {"--help", "--config"}
+            assert ("--config" in options) == (name != "resample"), name
+        assert got == dict(want, resample={"--source", "--out", "--nodes"})
+
+    @pytest.mark.parametrize("argv", [
+        ["check-grad", "--source", "nope.json"],
+        ["match", "--source", "src.json", "--target", "tgt.json",
+         "--metric", "h2"],
+        ["export-svg", "h.json", "--kernel", "0.5,0.05"],
+        ["geodesic", "--source", "src.json", "--target", "tgt.json",
+         "--metric", "foo"],
+        ["geodesic", "--source", "src.json", "--target", "tgt.json",
+         "--init", "foo"],
+        ["energy"],
+    ])
+    def test_usage_error_exits_1(self, rng, tmp_path, capsys, monkeypatch,
+                                 argv):
+        # an undeclared flag, a bad value or a missing operand: exit 1
+        # (exit 2 is an optimization failure), a message, and no file
+        monkeypatch.chdir(tmp_path)
+        self.pair(rng, tmp_path)
+        save_homotopy(Homotopy(smooth_homotopy(rng, 3, 12)), "h.json")
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: bvgeo")
+
+    def test_geodesic_line_search_failure_exits_2(self, rng, tmp_path,
+                                                  capsys, monkeypatch):
+        # every trial refused: each stage ends at its first iteration, and
+        # the run still writes its files
+        src, tgt = self.pair(rng, tmp_path)
+        monkeypatch.setattr(optimize.KernelMatch, "rejects",
+                            lambda self, h, energy, bound: True)
+        rc = main(["geodesic", "--source", src, "--target", tgt,
+                   "--grid", "3,24", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "termination line_search_failure" in captured.out
+        assert "error: line search failed" in captured.err
+        for suffix in (".homotopy.json", ".trace.csv", ".svg"):
+            assert (tmp_path / f"run{suffix}").exists()
 
     def test_energy_empty_eps_schedule_exits_1(self, rng, tmp_path, capsys):
         hp = tmp_path / "h.json"

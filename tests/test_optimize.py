@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bvgeo import (BV2, H2, Homotopy, KernelParams, LineSearchError,
-                   MetricSpec, OptimConfig, PolyCurve, align_start_node,
-                   continuation, descend, fd_check, gradient, init_constant,
-                   init_linear, match_distance, objective, path_energy,
-                   step_norms)
+from bvgeo import (BV2, H2, Homotopy, KernelParams, MetricSpec, OptimConfig,
+                   PolyCurve, align_start_node, continuation, descend,
+                   fd_check, gradient, init_constant, init_linear,
+                   match_distance, objective, path_energy, step_norms)
 from bvgeo import optimize
 from bvgeo.curves import length
 from bvgeo.matching import match_gradient, match_slack
@@ -221,7 +220,8 @@ class TestDescend:
 
     def test_line_search_error_on_inconsistent_problem(self, rng):
         # a match term that punishes any motion of the last slice but reports
-        # a zero gradient can never satisfy the Armijo condition
+        # a zero gradient can never satisfy the Armijo condition: the stage
+        # ends as a named termination at its first iteration, not a raise
         h0 = Homotopy(smooth_homotopy(rng, 4, 16))
         tgt = fourier_curve(rng, 16)
         calls = []
@@ -233,9 +233,11 @@ class TestDescend:
         def grad(curve):
             return np.zeros_like(curve.nodes)
 
-        with pytest.raises(LineSearchError):
-            descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
-                    endpoint=FakeEndpoint(value, grad))
+        rep = descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
+                      endpoint=FakeEndpoint(value, grad))
+        assert rep.termination == "line_search_failure"
+        assert rep.iters_per_stage == [0]
+        assert np.array_equal(rep.homotopy.grid, h0.grid)
 
     def test_unchanged_grid_stalls(self, rng):
         # H2 with p = 1 at the constant init: every accepted step is below
@@ -251,8 +253,8 @@ class TestDescend:
         assert np.array_equal(rep.homotopy.grid, h0.grid)
 
     def test_non_finite_gradient_terminates(self, rng):
-        # a NaN gradient used to backtrack to min_tau and raise
-        # LineSearchError; it is a named termination instead
+        # a NaN gradient would backtrack to min_tau and end the stage as
+        # line_search_failure; it is a termination of its own instead
         h0 = Homotopy(smooth_homotopy(rng, 4, 16))
         tgt = fourier_curve(rng, 16)
         hook = FakeEndpoint(lambda curve: 0.0,
@@ -601,6 +603,29 @@ class TestContinuation:
         col = TRACE_COLUMNS.index("objective")
         assert rep.objective_trace[1] == rep.rows[1][col] == -1.0
         assert rep.objective_trace[-1] == rep.rows[-1][col] == 2.0 * final
+
+    def test_failed_line_search_keeps_earlier_stages(self, rng,
+                                                     monkeypatch):
+        # from stage 2 on the endpoint rejects every trial: those stages end
+        # at their first iteration, and the report keeps stage 1's descent
+        src, tgt = fourier_curve(rng, 16), fourier_curve(rng, 16)
+        endpoint = quadratic_match(tgt)
+        descend_, finals = optimize.descend, []
+
+        def descend(*args):
+            rep = descend_(*args)
+            finals.append(rep.homotopy)
+            endpoint.rejects = lambda h, energy, bound: True
+            return rep
+
+        monkeypatch.setattr(optimize, "descend", descend)
+        rep = continuation(init_constant(src, 4), tgt, BV_SPEC, KP,
+                           OptimConfig(max_iters=5), endpoint=endpoint)
+        assert rep.iters_per_stage == [5, 0, 0]
+        assert len(rep.rows) == 8
+        assert len(rep.stage_objectives) == 3
+        assert rep.termination == "line_search_failure"
+        assert finals[0] is finals[1] is finals[2] is rep.homotopy
 
     def test_objective_traces_pinned(self):
         # linear-init BV2 and H2 runs at (N, n) = (6, 24), two iterations
