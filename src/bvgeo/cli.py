@@ -22,8 +22,9 @@ from .io import (CONFIG_KEYS, ParseError, RunConfig, apply_settings,
                  save_homotopy)
 from .matching import match_distance
 from .metrics import MetricSpec
-from .optimize import (TRACE_COLUMNS, align_start_node, continuation,
-                       fd_check, init_constant, init_linear, objective)
+from .optimize import (FAILURES, TRACE_COLUMNS, align_start_node,
+                       continuation, fd_check, init_constant, init_linear,
+                       objective)
 from .paths import Homotopy, path_energy
 from .svg import render_svg
 
@@ -69,11 +70,6 @@ def _write_trace(report, path: Path) -> None:
         writer.writerows((i,) + row for i, row in enumerate(report.rows))
 
 
-# the terminations that end geodesic with EXIT_OPTIM, with their messages
-_FAILURES = {"non_finite": "objective or gradient is not finite",
-             "line_search_failure": "line search failed"}
-
-
 def _cmd_geodesic(args) -> int:
     cfg = _config_from_args(args)
     source, target = _prepare_pair(cfg)
@@ -90,8 +86,8 @@ def _cmd_geodesic(args) -> int:
     final = report.objective_trace[-1]
     print(f"objective {final:.6g}  match {report.match_trace[-1]:.6g}  "
           f"termination {report.termination}")
-    if report.termination in _FAILURES:
-        print(f"error: {_FAILURES[report.termination]}", file=sys.stderr)
+    if report.termination in FAILURES:
+        print(f"error: {FAILURES[report.termination]}", file=sys.stderr)
         return EXIT_OPTIM
     return EXIT_OK
 

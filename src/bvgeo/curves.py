@@ -231,9 +231,15 @@ def first_slow_segment(lengths: np.ndarray):
     """Discrete immersion test of S stacked curves, given their (S, n)
     chord lengths: the first (curve, segment) whose speed n*|chord| is at
     most MIN_SPEED_REL times that curve's length, or None."""
-    min_speed = MIN_SPEED_REL * np.add.reduce(lengths, axis=1, keepdims=True)
+    min_speed = MIN_SPEED_REL * np.add.reduce(lengths, axis=1)
     n = lengths.shape[1]
-    slow = n * lengths <= min_speed
+    # rounding is monotone, so no chord is slow where the stack's shortest
+    # outruns the largest threshold; only a stack that fails this (two
+    # whole-stack reductions) compares every chord with its own
+    if n * np.minimum.reduce(lengths, axis=None) > np.maximum.reduce(
+            min_speed):
+        return None
+    slow = n * lengths <= min_speed[:, None]
     if not slow.any():
         return None
     return divmod(int(np.flatnonzero(slow)[0]), n)

@@ -11,10 +11,15 @@ the discrete immersion test on any slice is treated as a line-search
 rejection, which keeps all iterates inside the open set of immersed curves.
 A trial is evaluated immersion, then energy, then a second-order lower
 bound on its match term about the iterate, then match, and stops at the
-first of them that rejects it (see ``objective``'s bound).  One endpoint
-object (``KernelMatch``) serves a whole run and keeps two records: the
-last trial's curve with its H and kernel, and the iterate's last slice
-with its H, gradient and match floor, the floor built with the gradient.
+first of them that rejects it (see ``objective``'s bound).  A stage's
+first trials, whose steps start far above the one the stage accepts, go
+first to ``objective``'s probe, which may reject them exactly on the
+energy of their last step alone, until one that it does not reject.
+``continuation`` reports a failed stage ahead of the stages after it.
+One endpoint object (``KernelMatch``) serves a whole run and keeps two
+records: the last trial's curve with its H and kernel, and the iterate's
+last slice with its H, gradient and match floor, the floor built with the
+gradient.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .curves import PolyCurve, converted, length
 from .matching import (KernelParams, floor_constants, match_distance,
                        match_floor, match_gradient, match_slack)
 from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
-from .paths import Homotopy, step_powers
+from .paths import Homotopy, last_step_power, step_powers
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,12 @@ class OptimConfig:
 TAU0, SHRINK, ARMIJO = 1.0, 0.5, 1e-4
 
 
+# the terminations of a failed stage, with their messages: continuation
+# reports the first of them ahead of the last stage's, and geodesic exits 2
+FAILURES = {"non_finite": "objective or gradient is not finite",
+            "line_search_failure": "line search failed"}
+
+
 # one value per iterate in each: the stage's eps, the objective and its two
 # parts, the gradient sup-norm, and the accepted step (0 at a stage's start)
 TRACE_COLUMNS = ("eps", "objective", "energy_part", "match_part",
@@ -113,10 +124,9 @@ class OptimReport:
     step_trace = property(lambda self: self.columns["step"])
 
 
-def _step_powers(h: Homotopy, spec: MetricSpec, grad: bool):
+def _kernels():
     # looked up here at call time: perfbench/tracing.py wraps these names
-    return step_powers(h, spec, grad,
-                       (bv2_norm_and_partials, h2_sq_and_partials))
+    return bv2_norm_and_partials, h2_sq_and_partials
 
 
 # KernelMatch's empty records: no curve is None
@@ -167,8 +177,13 @@ class KernelMatch:
     def rejects(self, h: Homotopy, energy: float, bound: float) -> bool:
         """Whether energy + L > bound, L being ``match_slack``'s -slack or
         ``match_floor``'s bound about the iterate: as L is below the
-        computed H and rounding is monotone, energy + H > bound too."""
-        total = float(h.chord_lengths[-1].sum())
+        computed H and rounding is monotone, energy + H > bound too.
+
+        It reads h's last slice alone, and it stays monotone in energy (a
+        larger energy lowers match_floor's need, which only lets a floor
+        through): ``objective``'s probe rejects on a lower bound of the
+        energy for that reason."""
+        total = h.last_length
         if energy - match_slack(h.n, self.target.n, total,
                                 self._target_length) > bound:
             return True
@@ -191,7 +206,8 @@ def _endpoint(endpoint, target: PolyCurve, params: KernelParams):
 
 
 def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
-              params: KernelParams, endpoint=None, *, bound=None):
+              params: KernelParams, endpoint=None, *, bound=None,
+              probe=False):
     """Total objective with its two parts: (total, energy_part, match_part).
 
     The endpoint defaults to ``KernelMatch(target, params)``; a
@@ -199,10 +215,24 @@ def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     trial that it ``rejects`` at ``bound`` (a line search's Armijo
     threshold) gives (inf, energy, nan) without its match term or a
     last-slice curve.
+
+    With probe (and a bound) only the last step's share T^p / (N-1) of
+    the energy is computed, from the last two slices alone: the result is
+    (inf, share, nan) where the endpoint rejects the trial on it, else
+    (nan, share, nan), undecided.  A probe rejects only trials that the
+    full evaluation rejects: step powers are >= 0, so the rounded energy
+    is at least any one step's share; a step's power is the same bits
+    alone or batched; and ``rejects`` is monotone in the energy.  It runs
+    before the immersion test, so ``descend`` probes only where every
+    smoothed chord length sqrt(|d|^2 + (eps/n)^2) is positive.
     """
-    powers, _ = _step_powers(h, spec, grad=False)
-    energy = float(powers.sum()) / (h.N - 1)
     endpoint = _endpoint(endpoint, target, params)
+    if probe:
+        share = last_step_power(h, spec, _kernels()) / (h.N - 1)
+        rejected = endpoint.rejects(h, share, bound)
+        return np.inf if rejected else np.nan, share, np.nan
+    powers, _ = step_powers(h, spec, False, _kernels())
+    energy = float(powers.sum()) / (h.N - 1)
     if bound is not None and endpoint.rejects(h, energy, bound):
         return np.inf, energy, np.nan
     match = float(endpoint.value(h.slice_curve(h.N - 1)))
@@ -225,7 +255,7 @@ def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     # the match term first: it frees the kernel its trial kept before the
     # energy partials allocate theirs
     match_grad = endpoint.gradient(h.slice_curve(h.N - 1))
-    _, grad = _step_powers(h, spec, grad=True)
+    _, grad = step_powers(h, spec, True, _kernels())
     grad /= (h.N - 1)
     grad[-1] += match_grad
     grad[0] = 0.0
@@ -248,6 +278,12 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     report.extend([(spec.eps, f, e_part, m_part, gnorm, 0.0)])
 
     min_tau = 1e-20 * tau
+    # the stage's first trials go to objective's probe until one that it
+    # does not reject.  Its kernels run before the immersion test, so only
+    # where every smoothed chord length sqrt(|d|^2 + (eps/n)^2) is
+    # positive: where (eps/n)^2 > 0, which H2 at eps = 0 is not
+    mu = spec.eps / h.n
+    probing = mu * mu > 0.0
     for _ in range(cfg.max_iters):
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             report.termination = "non_finite"
@@ -259,8 +295,11 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         t = tau
         while t > min_tau:
             cand = Homotopy(h.grid - t * g)
-            if cand.validate_slices() is None:
-                threshold = f - ARMIJO * t * gsq
+            threshold = f - ARMIJO * t * gsq
+            probing = probing and objective(
+                cand, target, spec, params, endpoint, bound=threshold,
+                probe=True)[0] == np.inf
+            if not probing and cand.validate_slices() is None:
                 f_new, e_new, m_new = objective(cand, target, spec, params,
                                                 endpoint, bound=threshold)
                 if f_new <= threshold:
@@ -293,10 +332,12 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     """Run descend per eps in the schedule, warm-starting each stage.
 
     Each stage's final objective is recorded both at the stage's own eps and
-    re-evaluated at the schedule's smallest eps, so stages are comparable.
-    One endpoint (by default ``KernelMatch``) serves every stage.  Only a
-    "non_finite" stage stops the schedule.  A BV2 schedule ending at
-    eps = 0 is refused before the first stage runs.
+    re-evaluated at the schedule's smallest eps, so stages are comparable,
+    beside the stage's termination.  One endpoint (by default
+    ``KernelMatch``) serves every stage.  Only a "non_finite" stage stops
+    the schedule.  The reported termination is the first stage's that is
+    "non_finite" or "line_search_failure", else the last stage's.  A BV2
+    schedule ending at eps = 0 is refused before the first stage runs.
     """
     eps_min = cfg.eps_schedule[-1]
     _require_smooth(spec, eps_min)
@@ -313,8 +354,10 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         merged.iters_per_stage += rep.iters_per_stage
         merged.stage_objectives.append(
             {"eps": eps, "objective": rep.objective_trace[-1],
-             "objective_at_min_eps": at_min})
-        merged.termination = rep.termination
+             "objective_at_min_eps": at_min,
+             "termination": rep.termination})
+        if merged.termination not in FAILURES:
+            merged.termination = rep.termination
         if rep.termination == "non_finite":
             break
     merged.homotopy = h

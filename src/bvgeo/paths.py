@@ -9,8 +9,10 @@ continuous one: the translation path has its analytic energy for every N.
 
 A ``Homotopy`` is immutable and computes its geometry once: the chords of
 every slice, coordinate-major and taken by the energy kernels, their
-lengths, shared by the immersion test and the length diagnostic, and one
-``PolyCurve`` per slice index.
+lengths, shared by the immersion test and the length diagnostic, the last
+slice's length, and one ``PolyCurve`` per slice index.  A line search's
+probe reads the last step's power (``last_step_power``) and the last
+slice's length from the last two slices alone.
 """
 
 from __future__ import annotations
@@ -60,9 +62,7 @@ class Homotopy:
     @cached_property
     def chords(self) -> np.ndarray:
         """Chords of every slice, (2, N, n) coordinate-major, read-only."""
-        x = self.grid.transpose(2, 0, 1).copy()
-        out = cyclic_shift(x, -1, -1)
-        out -= x
+        out = _chords(self.grid)
         out.flags.writeable = False
         return out
 
@@ -72,6 +72,19 @@ class Homotopy:
         out = np.sqrt(inner_cm(self.chords, self.chords))
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def last_length(self) -> float:
+        """Total chord length of the last slice: ``chord_lengths[-1]``
+        summed, bit for bit, read from that row once it is formed and else
+        formed from the last slice alone (a line search's probe, see
+        ``optimize.objective``)."""
+        # cached_property keeps a formed value in the instance dict
+        lengths = self.__dict__.get("chord_lengths")
+        if lengths is None:
+            last = _chords(self.grid[-1:])
+            lengths = np.sqrt(inner_cm(last, last))
+        return float(lengths[-1].sum())
 
     def slice_curve(self, i: int) -> PolyCurve:
         """Slice i as a curve: the same object on every call with i, so
@@ -90,6 +103,15 @@ class Homotopy:
     def validate_slices(self):
         """First (slice, segment) failing ``validate_immersion``, or None."""
         return first_slow_segment(self.chord_lengths)
+
+
+def _chords(grid: np.ndarray) -> np.ndarray:
+    """Chords of the slices of an (S, n, 2) grid, (2, S, n), a fresh array:
+    elementwise, so any run of slices gets the bits of the whole grid's."""
+    x = grid.transpose(2, 0, 1).copy()
+    out = cyclic_shift(x, -1, -1)
+    out -= x
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,11 +154,42 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
     (2, N-1, n) arrays, and their coordinate-major partials are scattered
     into one final (N, n, 2) array.
     """
-    x = h.grid.transpose(2, 0, 1)
-    scale = float(h.N - 1)
-    vels = np.subtract(x[:, 1:], x[:, :-1], out=np.empty((2, h.N - 1, h.n)))
+    power, dn, dv = _powers(h.chords[:, :-1], h.grid, h.N - 1, spec, grad,
+                            kernels)
+    if not grad:
+        return power, None
+    # step i adds +dv to slice i+1, then +dn and -dv to slice i
+    dn[:, 1:] += dv[:, :-1]
+    out = np.empty(h.grid.shape)
+    g = out.transpose(2, 0, 1)
+    np.subtract(dn, dv, out=g[:, :-1])
+    g[:, -1] = dv[:, -1]
+    return power, out
+
+
+def last_step_power(h: Homotopy, spec: MetricSpec,
+                    kernels=(bv2_norm_and_partials, h2_sq_and_partials)):
+    """T^p of the last step alone, ``step_powers(h, spec)[0][-1]`` bit for
+    bit (a kernel gives each step of a batch the value of that step's own
+    call), from the last two slices alone: neither forms the chords of
+    the other slices."""
+    grid = h.grid[-2:]
+    power, _, _ = _powers(_chords(grid[:1]), grid, h.N - 1, spec, False,
+                          kernels)
+    return float(power[0])
+
+
+def _powers(chords, grid, steps: int, spec: MetricSpec, grad: bool, kernels):
+    """(T^p of the steps between consecutive slices of grid, d/d chords,
+    d/d velocities), the partials scaled to the slices (None unless grad);
+    chords are those of every slice but the last, coordinate-major, and a
+    step's velocity is steps times its slice difference."""
+    x = grid.transpose(2, 0, 1)
+    scale = float(steps)
+    vels = np.subtract(x[:, 1:], x[:, :-1],
+                       out=np.empty((2, x.shape[1] - 1, x.shape[2])))
     vels *= scale
-    args = (h.chords[:, :-1], vels, spec.weights, spec.eps, grad)
+    args = (chords, vels, spec.weights, spec.eps, grad)
     bv2, h2 = kernels
     coef = None                            # d power / d (kernel value)
     if spec.family == BV2:
@@ -154,19 +207,13 @@ def step_powers(h: Homotopy, spec: MetricSpec, grad: bool = False,
                 coef = np.divide(0.5, power, out=np.zeros_like(power),
                                  where=power > 0.0)
     if not grad:
-        return power, None
+        return power, None, None
     # the kernels' partials are their own fresh arrays: scaled in place
     if coef is not None:
         dn *= coef[:, None]
         dv *= coef[:, None]
     dv *= scale
-    # step i adds +dv to slice i+1, then +dn and -dv to slice i
-    dn[:, 1:] += dv[:, :-1]
-    out = np.empty(h.grid.shape)
-    g = out.transpose(2, 0, 1)
-    np.subtract(dn, dv, out=g[:, :-1])
-    g[:, -1] = dv[:, -1]
-    return power, out
+    return power, dn, dv
 
 
 def step_norms(h: Homotopy, spec: MetricSpec) -> np.ndarray:

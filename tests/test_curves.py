@@ -9,7 +9,7 @@ from bvgeo import (CurveError, DegenerateSegmentError, Homotopy, PolyCurve,
                    normalize_to_unit_square, signed_area, smoothed_norm,
                    validate_immersion)
 from bvgeo.curves import (MIN_SPEED_REL, _point_at_arclength, cyclic_shift,
-                          inner, inner_cm)
+                          first_slow_segment, inner, inner_cm)
 from conftest import fourier_curve
 
 
@@ -65,6 +65,45 @@ class TestValidateImmersion:
         assert ok == bool(np.min(n * c.chord_lengths)
                           > MIN_SPEED_REL * np.sum(c.chord_lengths))
         assert ok
+
+
+def _first_slow_broadcast(lengths):
+    """first_slow_segment's broadcast form: every chord against its
+    curve's threshold."""
+    min_speed = MIN_SPEED_REL * np.add.reduce(lengths, axis=1, keepdims=True)
+    n = lengths.shape[1]
+    slow = n * lengths <= min_speed
+    if not slow.any():
+        return None
+    return divmod(int(np.flatnonzero(slow)[0]), n)
+
+
+@st.composite
+def _length_stacks(draw):
+    """(S, n) chord lengths spread over orders of magnitude, with zero
+    chords, and chords placed within a few ulps of their curve's
+    threshold n*l = MIN_SPEED_REL*sum(l), on either side."""
+    S, n = draw(st.integers(1, 6)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lengths = 10.0 ** rng.uniform(-draw(st.integers(0, 12)), 2, (S, n))
+    lengths[rng.random((S, n)) < draw(st.sampled_from([0.0, 0.02]))] = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = int(rng.integers(S)), int(rng.integers(n))
+        others = float(np.sum(lengths[i])) - lengths[i, j]
+        x = MIN_SPEED_REL * others / (n - MIN_SPEED_REL)
+        for _ in range(draw(st.integers(-3, 3)) % 7):
+            x = np.nextafter(x, np.inf)
+        lengths[i, j] = x
+    return lengths
+
+
+class TestFirstSlowSegment:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_length_stacks())
+    @example(np.zeros((2, 3)))
+    @example(np.full((3, 4), 1.0))
+    def test_equal_to_broadcast_form(self, lengths):
+        assert first_slow_segment(lengths) == _first_slow_broadcast(lengths)
 
 
 class TestLength:

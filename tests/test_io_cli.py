@@ -579,6 +579,36 @@ class TestCli:
         for suffix in (".homotopy.json", ".trace.csv", ".svg"):
             assert (tmp_path / f"run{suffix}").exists()
 
+    def test_geodesic_failed_middle_stage_exits_2(self, rng, tmp_path,
+                                                  capsys, monkeypatch):
+        # every trial of stage 2 refused, stages 1 and 3 at max_iters: the
+        # run reports stage 2's failure and writes its files
+        src, tgt = self.pair(rng, tmp_path)
+        rejects_, descend_ = optimize.KernelMatch.rejects, optimize.descend
+        stages = []
+
+        def descend(*args):
+            stages.append(None)
+            return descend_(*args)
+
+        def rejects(self, h, energy, bound):
+            return len(stages) == 2 or rejects_(self, h, energy, bound)
+
+        monkeypatch.setattr(optimize, "descend", descend)
+        monkeypatch.setattr(optimize.KernelMatch, "rejects", rejects)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max_iters = 5\ngrid = 4, 16\n")
+        out = tmp_path / "run"
+        rc = main(["geodesic", "--source", src, "--target", tgt,
+                   "--out", str(out), "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "termination line_search_failure" in captured.out
+        assert "error: line search failed" in captured.err
+        with out.with_suffix(".trace.csv").open() as fh:
+            eps = [float(row["eps"]) for row in csv.DictReader(fh)]
+        assert eps == [1e-1] * 6 + [1e-2] + [1e-3] * 6
+
     def test_energy_empty_eps_schedule_exits_1(self, rng, tmp_path, capsys):
         hp = tmp_path / "h.json"
         save_homotopy(Homotopy(smooth_homotopy(rng, 3, 12)), hp)

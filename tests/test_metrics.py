@@ -469,3 +469,38 @@ class TestCoordinateMajorKernels:
         got = [got[0]] + [None if x is None else x.transpose(1, 2, 0)
                           for x in got[1:]]
         assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+class TestBatchedSteps:
+    """A kernel's value pass gives each curve of a (2, S, n) batch the
+    bits of that curve's own (2, 1, n) call: the premise on which a line
+    search's probe evaluates the last step of a path alone."""
+
+    # a step's power as paths.step_powers takes it from the kernel's value
+    POWERS = {("bv2", 1): np.asarray, ("bv2", 2): np.square,
+              ("h2", 1): np.sqrt, ("h2", 2): np.asarray}
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("family", ["bv2", "h2"])
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_each_step_bitwise_its_own_call(self, family, p, data):
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        S, n = data.draw(st.integers(1, 48)), data.draw(st.integers(3, 300))
+        scale = 10.0 ** data.draw(st.integers(-3, 3))
+        weights = data.draw(st.tuples(*[st.sampled_from([0.0, 0.37, 1.0])]
+                                      * 3))
+        # eps = 0 for H2 only: BV2 descent runs at eps > 0
+        eps = data.draw(st.sampled_from(
+            ([0.0] if family == "h2" else []) + [1e-3, 0.1]))
+        kernel, power = _KERNELS[family][0], self.POWERS[family, p]
+        rng = np.random.default_rng(seed)
+        nodes = rng.uniform(-1.0, 1.0, (2, S, n)) * scale
+        chords = np.roll(nodes, -1, axis=-1) - nodes
+        coeffs = rng.standard_normal((2, S, n)) / scale
+        coeffs[:, rng.random(S) < 0.2] = 0.0       # some steps at rest
+        batch = power(kernel(chords, coeffs, weights, eps, grad=False)[0])
+        for i in range(S):
+            alone = power(kernel(chords[:, i:i + 1], coeffs[:, i:i + 1],
+                                 weights, eps, grad=False)[0])
+            assert alone.tobytes() == batch[i:i + 1].tobytes()

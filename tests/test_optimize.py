@@ -295,20 +295,31 @@ class TestBoundedTrials:
     """descend hands each Armijo trial its threshold as objective's bound:
     the endpoint may reject a trial on its energy alone or on the floor of
     its match term about the current iterate, and an evaluated trial's
-    kernel serves the gradient that follows.  None of this may change a
-    decision or a bit of the result."""
+    kernel serves the gradient that follows.  A stage's first trials go to
+    objective's probe first, which may reject them on their last step's
+    energy.  None of this may change a decision or a bit of the result."""
 
     @pytest.fixture
     def record(self, monkeypatch, builds):
         """Wraps optimize.objective and gradient: counts trials, trials
         rejected before the match on their energy and on the match floor,
-        gradients, and kernels built within a gradient."""
+        probe calls and the trials they reject, gradients, and kernels
+        built within a gradient.  A trial the probe rejects counts as a
+        trial, classed by the share the probe returns; a probe that does
+        not reject counts only as a probe."""
         counts = dict.fromkeys(["trials", "energy_rejects", "floor_rejects",
-                                "gradients", "gradient_builds"], 0)
+                                "probes", "probe_rejects", "gradients",
+                                "gradient_builds"], 0)
         objective_, gradient_ = optimize.objective, optimize.gradient
 
-        def objective(h, target, *args, bound=None, **kwargs):
-            out = objective_(h, target, *args, bound=bound, **kwargs)
+        def objective(h, target, *args, bound=None, probe=False, **kwargs):
+            out = objective_(h, target, *args, bound=bound, probe=probe,
+                             **kwargs)
+            if probe:
+                counts["probes"] += 1
+                if out[0] != np.inf:
+                    return out
+                counts["probe_rejects"] += 1
             if bound is not None:
                 counts["trials"] += 1
                 slack = match_slack(h.n, target.n,
@@ -333,9 +344,11 @@ class TestBoundedTrials:
     @staticmethod
     def _ignore_bound(monkeypatch):
         # every trial evaluated in full, as descend did before the bound
+        # and the probe: a probe call is a full evaluation, which the probe
+        # does not reject
         full = optimize.objective
 
-        def objective(*args, bound=None, **kwargs):
+        def objective(*args, bound=None, probe=False, **kwargs):
             return full(*args, **kwargs)
 
         monkeypatch.setattr(optimize, "objective", objective)
@@ -362,6 +375,12 @@ class TestBoundedTrials:
         assert counts["energy_rejects"] > 0
         # every gradient found its curve's kernel kept by a value before it
         assert counts["gradients"] > 0 and counts["gradient_builds"] == 0
+        # each stage (descend's, then continuation's three) probes until
+        # its first probe that does not reject
+        stages = 1 + len(bounded[1].iters_per_stage)
+        assert counts["probes"] == counts["probe_rejects"] + stages
+        if init == "constant":
+            assert counts["probe_rejects"] > 0
         if (family, p, init) == (H2, 1, "constant"):
             # the stall pair of test_unchanged_grid_stalls: descend and
             # each of continuation's three stages make the same 56 trials,
@@ -373,6 +392,30 @@ class TestBoundedTrials:
             assert counts["floor_rejects"] == 4 * 36
         elif init == "constant":
             assert counts["floor_rejects"] > 0
+
+    @pytest.mark.parametrize("family, eps",
+                             [(H2, 0.0), (H2, 1e-170), (BV2, 1e-170)])
+    def test_zero_chord_trial_unprobed_where_unsmoothed(
+            self, monkeypatch, record, family, eps):
+        # the first trial puts node 1 of slice N-2 on node 0, which the
+        # immersion test rejects; where (eps/n)^2 is 0 the kernels would
+        # divide by that chord's length, so no trial is probed, and the
+        # run ends exactly as under full evaluation
+        square = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 1.0], [-0.5, 0.5]])
+        h0 = Homotopy(np.stack([square] * 3))
+        tgt = PolyCurve(square + 0.25)
+        # a gradient of sup-norm 1: the first trial step is 1/2
+        push = np.zeros(h0.grid.shape)
+        push[1, 1] = 1.0
+        monkeypatch.setattr(optimize, "gradient", lambda *args: push)
+        assert Homotopy(h0.grid - 0.5 * push).validate_slices() == (1, 0)
+        spec = MetricSpec(family=family, weights=(1.0, 1.0, 1.0), eps=eps)
+        cfg = OptimConfig(max_iters=3)
+        probed = descend(h0, tgt, spec, KP, cfg)
+        assert record["probes"] == 0 and record["trials"] > 0
+        self._ignore_bound(monkeypatch)
+        full = descend(h0, tgt, spec, KP, cfg)
+        assert _report_bits(probed) == _report_bits(full)
 
     def test_rejected_trials_build_few_kernels(self, builds):
         # crossing ellipses at (N, n) = (5, 32) with the default spec and
@@ -627,6 +670,26 @@ class TestContinuation:
         assert rep.termination == "line_search_failure"
         assert finals[0] is finals[1] is finals[2] is rep.homotopy
 
+    def test_failed_middle_stage_reported(self, rng, monkeypatch):
+        # the endpoint refuses every trial of stage 2 only: stage 3 runs
+        # its iterations, and the report names stage 2's failure
+        src, tgt = fourier_curve(rng, 16), fourier_curve(rng, 16)
+        endpoint = quadratic_match(tgt)
+        descend_, stages = optimize.descend, []
+
+        def descend(*args):
+            stages.append(None)
+            return descend_(*args)
+
+        endpoint.rejects = lambda h, energy, bound: len(stages) == 2
+        monkeypatch.setattr(optimize, "descend", descend)
+        rep = continuation(init_constant(src, 4), tgt, BV_SPEC, KP,
+                           OptimConfig(max_iters=5), endpoint=endpoint)
+        assert rep.iters_per_stage == [5, 0, 5]
+        assert [s["termination"] for s in rep.stage_objectives] == [
+            "max_iters", "line_search_failure", "max_iters"]
+        assert rep.termination == "line_search_failure"
+
     def test_objective_traces_pinned(self):
         # linear-init BV2 and H2 runs at (N, n) = (6, 24), two iterations
         # per stage: a change made for speed must not move these traces;
@@ -667,9 +730,9 @@ class TestContinuation:
         descend_ = optimize.descend
         unbounded, finals = [], []
 
-        def objective(*args, bound=None):
+        def objective(*args, bound=None, probe=False):
             before = len(builds)
-            out = objective_(*args, bound=bound)
+            out = objective_(*args, bound=bound, probe=probe)
             if bound is None:
                 unbounded.append(len(builds) - before)
             return out

@@ -4,6 +4,7 @@ import pytest
 from bvgeo import (Homotopy, MetricSpec, PolyCurve, constant_speed_resample,
                    length_bound_check, make_translation_path, path_energy,
                    step_norms, time_constant_speed_reparam, velocity)
+from bvgeo.paths import last_step_power, step_powers
 from conftest import fourier_curve, smooth_homotopy
 
 SPEC = MetricSpec("bv2", (1, 0, 1), 0.0, 2)
@@ -53,6 +54,28 @@ class TestHomotopy:
         assert not h.chord_lengths.flags.writeable
         assert h.chord_lengths.tobytes() == np.stack(
             [h.slice_curve(i).chord_lengths for i in range(5)]).tobytes()
+
+
+class TestLastStep:
+    """A line search's probe reads the last step's power and the last
+    slice's length from the last two slices alone, with the bits of the
+    whole path's."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("family, eps", [("bv2", 1e-3), ("bv2", 0.1),
+                                             ("h2", 0.0), ("h2", 1e-3)])
+    def test_bitwise_the_whole_paths(self, rng, family, eps, p):
+        spec = MetricSpec(family, (1.0, 0.37, 1.0), eps, p)
+        for N, n in [(2, 7), (5, 20), (48, 64)]:
+            grid = smooth_homotopy(rng, N, n)
+            alone, whole = Homotopy(grid), Homotopy(grid)
+            assert last_step_power(alone, spec) == step_powers(whole,
+                                                               spec)[0][-1]
+            # formed from the last slice before chord_lengths, and read
+            # from its row after
+            assert "chord_lengths" not in vars(alone)
+            assert alone.last_length == float(whole.chord_lengths[-1].sum())
+            assert whole.last_length == alone.last_length
 
 
 class TestVelocity:
