@@ -4,6 +4,9 @@ Curve JSON:    {"nodes": [[x, y], ...]}         (>= 3 entries)
 Curve CSV:     two columns x,y per row, no header
 Homotopy JSON: {"N": int, "n": int, "slices": [[[x, y], ...], ...]}
 
+Every coordinate is a number: a JSON number (not a string or a boolean)
+or a CSV field that Python's float() reads, without digit-grouping "_".
+
 Floats are serialized with Python's shortest round-trip repr, so a
 save/load cycle reproduces coordinates exactly and re-emission of an
 unchanged structure is byte-identical.
@@ -14,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from dataclasses import dataclass, field, fields
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +36,30 @@ class ParseError(ValueError):
     """Malformed input file; message carries file and position context."""
 
 
-def _validate_nodes(rows, where: str) -> PolyCurve:
+def _validate_nodes(nodes, where: str) -> PolyCurve:
     try:
-        return PolyCurve(np.asarray(rows, dtype=float))
-    except (CurveError, ValueError, TypeError, OverflowError) as exc:
+        return PolyCurve(nodes)
+    except CurveError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+# the types of a JSON number; bool, though an int subclass, is not one
+_NUMBER_TYPES = {int, float}
+
+
+def _pairs(rows, where: str) -> np.ndarray:
+    """rows, a JSON list of [x, y] lists of numbers, as an (m, 2) array."""
+    try:
+        if type(rows) is list and set(map(len, rows)) <= {2}:
+            flat = list(chain.from_iterable(rows))
+            if set(map(type, flat)) <= _NUMBER_TYPES:
+                # struct converts a flat list faster than np.array does
+                packed = struct.pack(f"{len(flat)}d", *flat)
+                return np.frombuffer(packed).reshape(-1, 2)
+    # a row without a length, or an integer beyond the float range
+    except (TypeError, struct.error):
+        pass
+    raise ParseError(f"{where}: expected a list of [x, y] pairs of numbers")
 
 
 def _read_text(path: Path) -> str:
@@ -62,7 +86,7 @@ def load_curve_json(path) -> PolyCurve:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ParseError(f"{path}: expected object with a 'nodes' key")
-    return _validate_nodes(doc["nodes"], str(path))
+    return _validate_nodes(_pairs(doc["nodes"], str(path)), str(path))
 
 
 def load_curve_csv(path) -> PolyCurve:
@@ -75,11 +99,14 @@ def load_curve_csv(path) -> PolyCurve:
         if len(row) != 2:
             raise ParseError(f"{path}: line {lineno}: expected two "
                              f"columns, got {len(row)}")
+        # float() reads "1_000" as 1000.0; a coordinate holds no "_"
+        if "_" in row[0] + row[1]:
+            raise ParseError(f"{path}: line {lineno}: '_' in a number")
         try:
             rows.append([float(row[0]), float(row[1])])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    return _validate_nodes(rows, str(path))
+    return _validate_nodes(np.array(rows, dtype=float), str(path))
 
 
 def load_curve(path) -> PolyCurve:
@@ -105,16 +132,20 @@ def load_homotopy(path) -> Homotopy:
     for key in ("N", "n", "slices"):
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
+    N, n, slices = doc["N"], doc["n"], doc["slices"]
+    if type(N) is not int or type(n) is not int:
+        raise ParseError(f"{path}: N and n must be integers")
     try:
-        arr = np.asarray(doc["slices"], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}: slices must be an N x n x 2 array "
-                         f"of numbers") from None
-    if arr.ndim != 3 or arr.shape[:2] != (doc["N"], doc["n"]):
-        raise ParseError(f"{path}: slices shape {arr.shape} does not match "
-                         f"N={doc['N']}, n={doc['n']}")
+        shaped = (type(slices) is list and 0 < len(slices) == N
+                  and set(map(len, slices)) <= {n})
+    except TypeError:   # a slice without a length
+        shaped = False
+    if not shaped:
+        raise ParseError(f"{path}: slices do not have the shape N={N}, "
+                         f"n={n}")
+    rows = list(chain.from_iterable(slices))
     try:
-        return Homotopy(arr)
+        return Homotopy(_pairs(rows, str(path)).reshape(N, n, 2))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -138,7 +169,8 @@ def save_homotopy(h: Homotopy, path) -> None:
 class RunConfig:
     """Full pipeline configuration with the shipped experiment defaults:
     grid (N, n) = (10, 256), weights (1, 0, 1), curves normalized to the
-    unit square."""
+    unit square.  Every command takes its eps from optimizer.eps_schedule,
+    never from metric.eps, which no config key sets."""
 
     metric: MetricSpec = field(default_factory=MetricSpec)
     kernel: KernelParams = field(default_factory=KernelParams)
@@ -188,7 +220,7 @@ def _numbers(count: int | None = None, integer: bool = False):
     return parse
 
 
-_float, _int = _numbers(1), _numbers(1, integer=True)
+_int = _numbers(1, integer=True)
 
 # Every config key with the parser of its value text.  A key sets the
 # RunConfig field of its own name, or the two fields in _PAIRS.
@@ -197,8 +229,7 @@ CONFIG_KEYS = {
     "normalize_to_unit_square": _parse_bool,
     "weights": _numbers(3), "kernel": _numbers(2), "eps_schedule": _numbers(),
     "grid": _numbers(2, integer=True),
-    "exponent": _int, "max_iters": _int, "seed": _int,
-    "eps": _float, "sigma": _float, "delta": _float, "grad_tol": _float,
+    "exponent": _int, "max_iters": _int, "grad_tol": _numbers(1),
 }
 _PAIRS = {"kernel": ("sigma", "delta"), "grid": ("N", "n")}
 _SECTIONS = {"metric": MetricSpec, "kernel": KernelParams,

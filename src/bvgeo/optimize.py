@@ -42,20 +42,19 @@ class OptimConfig:
 
     grad_tol is relative: the stop threshold is grad_tol times the initial
     gradient sup-norm of the current stage.  eps_schedule must be strictly
-    decreasing; it drives the smoothing continuation.
+    decreasing; it drives the smoothing continuation, and its last entry
+    is the eps at which the CLI's energy and check-grad evaluate.
     """
 
     max_iters: int = 2000
     grad_tol: float = 1e-6
     eps_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "seed"):
-            value = converted(operator.index, getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not value >= 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
+        object.__setattr__(self, "max_iters",
+                           converted(operator.index, self.max_iters))
+        if not self.max_iters >= 0:
+            raise ValueError("max_iters must be a nonnegative integer")
         object.__setattr__(self, "grad_tol", converted(float, self.grad_tol))
         if not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be positive and finite")

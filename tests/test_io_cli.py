@@ -17,7 +17,7 @@ from bvgeo import (Homotopy, KernelParams, MetricSpec, OptimConfig,
                    load_config, load_curve, load_homotopy, match_distance,
                    parse_config, save_curve, save_homotopy)
 from bvgeo import optimize
-from bvgeo.cli import _build_parser, _write_trace, main
+from bvgeo.cli import _CONFIGURED, _build_parser, _write_trace, main
 from bvgeo.io import CONFIG_KEYS
 from bvgeo.optimize import TRACE_COLUMNS
 from bvgeo.svg import _polyline
@@ -145,6 +145,20 @@ class TestCurveFiles:
         with pytest.raises(ParseError, match=name):
             load_curve(p)
 
+    @pytest.mark.parametrize("name,content", [
+        ("bad.json", '{"nodes": [["0.1", 0], [1, 0], [0, 1]]}'),
+        ("bad.json", '{"nodes": [[0, 0], [1, 0], [0, true]]}'),
+        ("bad.csv", "0,0\n1_000,0\n0,1\n"),
+    ], ids=["json-string", "json-boolean", "csv-underscore"])
+    def test_non_number_coordinate_is_parse_error(self, tmp_path, capsys,
+                                                  name, content):
+        p = tmp_path / name
+        p.write_text(content)
+        with pytest.raises(ParseError, match=name):
+            load_curve(p)
+        assert main(["match", "--source", str(p), "--target", str(p)]) == 1
+        assert str(p) in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @_PROPERTY
     @given(data=st.data())
@@ -200,7 +214,16 @@ class TestHomotopyFiles:
         "5",
         '"Nn slices"',
         '{"N": 2, "n": 3, "slices": [[[0, 0], [1, 0], [0, 1]], [[0, 0]]]}',
-    ], ids=["number", "string", "ragged"])
+        '{"N": 2, "n": 3, "slices": [[[0, 0], [1, 0], [0, 1]], '
+        '[[0, 0], [1, 0], ["0.1", 1]]]}',
+        '{"N": 2, "n": 3, "slices": [[[0, 0], [1, 0], [0, 1]], '
+        '[[0, 0], [1, 0], [0, true]]]}',
+        '{"N": 2.0, "n": 3, "slices": [[[0, 0], [1, 0], [0, 1]], '
+        '[[0, 0], [1, 0], [0, 1]]]}',
+        '{"N": 2, "n": 3.0, "slices": [[[0, 0], [1, 0], [0, 1]], '
+        '[[0, 0], [1, 0], [0, 1]]]}',
+    ], ids=["number", "string", "ragged", "string-coordinate",
+            "boolean-coordinate", "float-N", "float-n"])
     def test_energy_malformed_homotopy_exits_1(self, tmp_path, capsys, text):
         p = tmp_path / "bad.homotopy.json"
         p.write_text(text)
@@ -215,7 +238,8 @@ class TestHomotopyFiles:
         grid[1, 3] = grid[1, 2]
         p = tmp_path / "repeated.homotopy.json"
         save_homotopy(Homotopy(grid), p)
-        assert main(["energy", str(p), "--metric", "h2"]) == 1
+        assert main(["energy", str(p), "--metric", "h2",
+                     "--eps-schedule", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zero-length segment" in err
 
@@ -273,22 +297,25 @@ class TestConfig:
         assert cfg.normalize_to_unit_square is False
 
     def test_unknown_key_rejected(self):
-        # the line-search constants are no settings
+        # the line-search constants are no settings; kernel sets sigma and
+        # delta, eps_schedule sets eps, and no run reads a seed
         for text in ("frobnicate = 3", "tau0 = 1", "shrink = 0.5",
-                     "armijo = 1e-4"):
+                     "armijo = 1e-4", "sigma = 0.4", "delta = 0.05",
+                     "eps = 0.01", "seed = 1"):
             with pytest.raises(ParseError, match="unknown key"):
                 parse_config(text)
 
     def test_keys_are_the_settable_fields(self):
         # each config key sets one leaf field of RunConfig or of a section
-        # (kernel and grid a pair), and every field but a section has a key
+        # (kernel and grid a pair), and every field but a section and
+        # MetricSpec.eps, which comes from eps_schedule, has a key
         sections = {"metric", "kernel", "optimizer"}
         leaves = {f.name for f in fields(RunConfig)} - sections
         for name in sections:
             leaves |= {f.name for f in fields(getattr(RunConfig(), name))}
         keys = set(CONFIG_KEYS) - {"grid", "kernel"} | {"N", "n", "sigma",
                                                         "delta"}
-        assert keys == leaves
+        assert keys == leaves - {"eps"}
 
     def test_bad_value_types(self):
         with pytest.raises(ParseError):
@@ -301,13 +328,13 @@ class TestConfig:
             parse_config("no equals sign here")
         # integers are never truncated
         for text in ("exponent = 1.5", "grid = 10.7 256.9", "max_iters = 2.5",
-                     "seed = 0.5", "seed = inf"):
+                     "max_iters = inf"):
             with pytest.raises(ParseError, match="integers"):
                 parse_config(text)
         assert parse_config("grid = 6.0 32").n == 32
         # non-finite values are refused where they are read
-        for text in ("eps = nan", "weights = nan 0 1", "sigma = inf",
-                     "delta = inf", "grad_tol = nan",
+        for text in ("weights = nan 0 1", "kernel = inf 0.05",
+                     "kernel = 0.5 inf", "grad_tol = nan",
                      "eps_schedule = 1e-1 nan"):
             with pytest.raises(ParseError, match="finite"):
                 parse_config(text)
@@ -643,11 +670,11 @@ class TestCli:
         assert rc == 0
         assert "max relative error" in capsys.readouterr().out
 
-    def test_check_grad_negative_seed_exit_one(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("seed = -1\n")
-        assert main(["check-grad", "--config", str(cfg)]) == 1
-        assert "seed" in capsys.readouterr().err
+    def test_check_grad_bv2_eps_zero_exits_1(self, capsys):
+        # check-grad evaluates at the schedule's last eps, as geodesic's
+        # last stage does, and the BV2 gradient needs it positive
+        assert main(["check-grad", "--eps-schedule", "0"]) == 1
+        assert "BV2 gradient requires eps > 0" in capsys.readouterr().err
 
     def test_resample(self, rng, tmp_path, capsys):
         src = write_curve_json(tmp_path / "c.json", fourier_curve(rng, 50).nodes)
@@ -747,6 +774,42 @@ class TestCli:
         # the flag changes the value, so a flag left over would show
         assert in_process[0][1] != in_process[1][1]
         assert in_process[2][1] != in_process[7][1]
+
+    @pytest.mark.parametrize("family", ["bv2", "h2"])
+    def test_energy_reproduces_geodesic_objective(self, tmp_path, capsys,
+                                                  family):
+        # energy on geodesic's own output, at the same defaults, prints the
+        # last objective of the trace: both evaluate at eps_schedule[-1]
+        theta = 2 * np.pi * np.arange(64) / 64
+        ellipse = np.stack([0.3 * np.cos(theta), 0.15 * np.sin(theta)], 1)
+        src = write_curve_json(tmp_path / "src.json", 0.5 + ellipse)
+        tgt = write_curve_json(tmp_path / "tgt.json",
+                               0.5 + ellipse[:, ::-1] * [-1, 1])
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max_iters = 5\n")
+        assert main(["geodesic", "--config", str(cfg), "--source", src,
+                     "--target", tgt, "--out", str(out), "--grid", "4,32",
+                     "--init", "linear", "--metric", family]) == 0
+        with out.with_suffix(".trace.csv").open() as fh:
+            want = float(list(csv.DictReader(fh))[-1]["objective"])
+        capsys.readouterr()
+        assert main(["energy", str(out.with_suffix(".homotopy.json")),
+                     "--target", tgt, "--metric", family]) == 0
+        got = float(capsys.readouterr().out.split()[1])
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_readme_flags_table_is_the_parser(self):
+        # README's command/flags table lists each configured command with
+        # exactly the flags that it takes besides --config
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = {}
+        for line in readme.splitlines():
+            cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 2:
+                table[cells[0]] = set(cells[1].split())
+        assert table == {name: set(flags)
+                         for name, (_, _, _, flags) in _CONFIGURED.items()}
 
     def test_energy_translation_path(self, tmp_path, capsys):
         # translation at unit speed across unit distance, squared-norm energy

@@ -870,18 +870,11 @@ def test_max_iters_must_be_a_nonnegative_integer(value):
         OptimConfig(max_iters=value)
 
 
-@pytest.mark.parametrize("value", [2.5, -1])
-def test_seed_must_be_a_nonnegative_integer(value):
-    with pytest.raises(ValueError, match="seed must be a nonnegative"):
-        OptimConfig(seed=value)
-
-
 def test_settings_store_converted_values():
     # a float keeps its bits, and max_iters is stored as an int
     cfg = OptimConfig(max_iters=np.int64(3), grad_tol=np.float32(0.5),
                       eps_schedule=(1, 0.1))
     assert type(cfg.max_iters) is int and cfg.max_iters == 3
-    assert type(OptimConfig(seed=np.int64(7)).seed) is int
     assert type(cfg.grad_tol) is float and cfg.eps_schedule == (1.0, 0.1)
     spec = MetricSpec(eps=np.float64(0.1), weights=(1, 0, 1))
     assert type(spec.eps) is float and spec.eps == 0.1
