@@ -78,7 +78,7 @@ def _cmd_geodesic(args) -> int:
     else:
         h0 = init_linear(source, target, cfg.N)
     report = continuation(h0, target, cfg.metric, cfg.kernel, cfg.optimizer)
-    prefix = Path(cfg.out)
+    prefix = Path(cfg.out or "bvgeo_out")
     save_homotopy(report.homotopy, prefix.with_suffix(".homotopy.json"))
     _write_trace(report, prefix.with_suffix(".trace.csv"))
     prefix.with_suffix(".svg").write_text(
@@ -150,8 +150,7 @@ def _cmd_export_svg(args) -> int:
     target = None
     if cfg.target:
         target = _load_endpoint(cfg.target, cfg, "target")
-    out = cfg.out if args.out or cfg.out != RunConfig.out \
-        else str(Path(args.homotopy).with_suffix(".svg"))
+    out = cfg.out or str(Path(args.homotopy).with_suffix(".svg"))
     if not out.endswith(".svg"):
         out += ".svg"
     Path(out).write_text(render_svg(h, target=target))

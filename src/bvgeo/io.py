@@ -5,7 +5,8 @@ Curve CSV:     two columns x,y per row, no header
 Homotopy JSON: {"N": int, "n": int, "slices": [[[x, y], ...], ...]}
 
 Every coordinate is a number: a JSON number (not a string or a boolean)
-or a CSV field that Python's float() reads, without digit-grouping "_".
+or a CSV field that _number reads, the rule of config values and flags too.
+A repeated JSON key is refused, and an unreadable file names its path.
 
 Floats are serialized with Python's shortest round-trip repr, so a
 save/load cycle reproduces coordinates exactly and re-emission of an
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import struct
 from dataclasses import dataclass, field, fields
 from io import StringIO
@@ -36,19 +36,20 @@ class ParseError(ValueError):
     """Malformed input file; message carries file and position context."""
 
 
-def _validate_nodes(nodes, where: str) -> PolyCurve:
-    try:
-        return PolyCurve(nodes)
-    except CurveError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
 # the types of a JSON number; bool, though an int subclass, is not one
 _NUMBER_TYPES = {int, float}
 
 
+def _number(text: str) -> float:
+    """float(text), for ASCII text without "_": float() also reads digit
+    grouping ("1_0") and the digits of other scripts ("١")."""
+    if text.isascii() and "_" not in text:
+        return float(text)
+    raise ValueError(f"not an ASCII number: {text!r}")
+
+
 def _pairs(rows, where: str) -> np.ndarray:
-    """rows, a JSON list of [x, y] lists of numbers, as an (m, 2) array."""
+    """rows, a list of [x, y] lists of numbers, as an (m, 2) array."""
     try:
         if type(rows) is list and set(map(len, rows)) <= {2}:
             flat = list(chain.from_iterable(rows))
@@ -63,17 +64,27 @@ def _pairs(rows, where: str) -> np.ndarray:
 
 
 def _read_text(path: Path) -> str:
+    """The one reader of input files; each failure starts with the path."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: not UTF-8 text") \
             from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
 
 
 def _read_json(path: Path):
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs)
+                       if k in dict(pairs[:i]))
+            raise ParseError(f"{path}: repeated key {key!r}")
+        return doc
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: "
                          f"{exc.msg}") from exc
@@ -81,42 +92,31 @@ def _read_json(path: Path):
         raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
-def load_curve_json(path) -> PolyCurve:
-    path = Path(path)
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or "nodes" not in doc:
-        raise ParseError(f"{path}: expected object with a 'nodes' key")
-    return _validate_nodes(_pairs(doc["nodes"], str(path)), str(path))
-
-
-def load_curve_csv(path) -> PolyCurve:
-    path = Path(path)
-    rows = []
-    lines = StringIO(_read_text(path), newline="")
-    for lineno, row in enumerate(csv.reader(lines), start=1):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"{path}: line {lineno}: expected two "
-                             f"columns, got {len(row)}")
-        # float() reads "1_000" as 1000.0; a coordinate holds no "_"
-        if "_" in row[0] + row[1]:
-            raise ParseError(f"{path}: line {lineno}: '_' in a number")
-        try:
-            rows.append([float(row[0]), float(row[1])])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    return _validate_nodes(np.array(rows, dtype=float), str(path))
-
-
 def load_curve(path) -> PolyCurve:
     """Parse a curve file: CSV if its suffix is .csv, else JSON."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
     if path.suffix.lower() == ".csv":
-        return load_curve_csv(path)
-    return load_curve_json(path)
+        rows = []
+        lines = StringIO(_read_text(path), newline="")
+        for lineno, row in enumerate(csv.reader(lines), start=1):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(f"{path}: line {lineno}: expected two "
+                                 f"columns, got {len(row)}")
+            try:
+                rows.append([_number(row[0]), _number(row[1])])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    else:
+        doc = _read_json(path)
+        if not isinstance(doc, dict) or "nodes" not in doc:
+            raise ParseError(f"{path}: expected object with a 'nodes' key")
+        rows = doc["nodes"]
+    try:
+        return PolyCurve(_pairs(rows, str(path)))
+    except CurveError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_curve(curve: PolyCurve, path) -> None:
@@ -180,7 +180,7 @@ class RunConfig:
     init: str = "constant"
     source: str = ""
     target: str = ""
-    out: str = "bvgeo_out"
+    out: str = ""   # unset: bvgeo_out, or export-svg's <homotopy>.svg
     normalize_to_unit_square: bool = True
 
     def __post_init__(self):
@@ -204,18 +204,16 @@ def _parse_bool(text: str) -> bool:
 
 
 def _numbers(count: int | None = None, integer: bool = False):
-    """Parser of a comma- or space-separated list of finite numbers (or of
-    integers); with count 1 it returns the bare value, else a tuple."""
+    """Parser of a comma- or space-separated list of numbers (or integers),
+    whose ranges the sections check; count 1 returns the bare value."""
     def parse(text: str):
-        items = tuple(float(x) for x in text.replace(",", " ").split())
+        items = tuple(map(_number, text.replace(",", " ").split()))
         if count is not None and len(items) != count:
             raise ValueError(f"expected {count} values, got {len(items)}")
         if integer:
             if not all(map(float.is_integer, items)):
                 raise ValueError(f"expected integers, got {text!r}")
             items = tuple(map(int, items))
-        elif not all(map(math.isfinite, items)):
-            raise ValueError(f"expected finite numbers, got {text!r}")
         return items[0] if count == 1 else items
     return parse
 
@@ -280,7 +278,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    return parse_config(_read_text(path))
+    return parse_config(_read_text(Path(path)))

@@ -1,0 +1,57 @@
+"""Drift guard: each input check of bvgeo runs on one path.
+
+Every file that bvgeo reads goes through ``io._read_text``, which turns each
+failure into a ParseError naming the path, and every number text that ``io``
+parses goes through ``io._number``.  A second reader or a direct float()
+call would bring back a path with its own rules.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parents[1] / "src" / "bvgeo"
+
+
+def _calls(path):
+    """(enclosing function name, call node) for each call in a module."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                yield where, child
+            yield from walk(child, inner)
+    return list(walk(ast.parse(path.read_text()), "<module>"))
+
+
+def _name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
+def _reads_file(call):
+    name = _name(call)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) or Path.open(mode): a mode without w, a or x reads
+    args = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + args[:1]
+    if not modes:
+        return True
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) & set("wax"))
+
+
+def test_one_reader_and_one_number_rule():
+    readers = {(path.name, where)
+               for path in sorted(SRC.glob("*.py"))
+               for where, call in _calls(path) if _reads_file(call)}
+    assert readers == {("io.py", "_read_text")}
+    floats = {where for where, call in _calls(SRC / "io.py")
+              if _name(call) == "float" and isinstance(call.func, ast.Name)}
+    assert floats == {"_number"}

@@ -172,6 +172,24 @@ class TestCurveFiles:
         assert isinstance(curve, PolyCurve)
 
 
+    def test_csv_non_ascii_digits_exit_1(self, tmp_path, capsys):
+        # float() reads Arabic-Indic digits: "١,٠" would be the node (1, 0)
+        p = tmp_path / "c.csv"
+        p.write_text("0,0\n١,٠\n0,1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"c\.csv: line 2: "):
+            load_curve(p)
+        assert main(["match", "--source", str(p), "--target", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {p}: line 2: ")
+
+    def test_repeated_key_is_parse_error(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"nodes": [[0, 0], [1, 0], [0, 1]], '
+                     '"nodes": [[0, 0], [2, 0], [0, 2]]}')
+        with pytest.raises(ParseError) as err:
+            load_curve(p)
+        assert str(err.value) == f"{p}: repeated key 'nodes'"
+
+
 class TestHomotopyFiles:
     def test_round_trip_exact(self, rng, tmp_path):
         h = Homotopy(smooth_homotopy(rng, 4, 12))
@@ -264,6 +282,38 @@ class TestHomotopyFiles:
         except ParseError:
             return
         assert isinstance(h, Homotopy)
+
+
+    def test_energy_repeated_slices_key_exits_1(self, rng, tmp_path, capsys):
+        h = Homotopy(smooth_homotopy(rng, 3, 8))
+        p = tmp_path / "h.json"
+        slices = json.dumps(h.grid.tolist())
+        p.write_text(f'{{"N": 3, "n": 8, "slices": {slices}, '
+                     f'"slices": {json.dumps((h.grid + 1).tolist())}}}')
+        assert main(["energy", str(p)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {p}: repeated key 'slices'\n"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("name,load", [
+    ("c.json", load_curve), ("c.csv", load_curve),
+    ("h.json", load_homotopy), ("run.cfg", load_config),
+], ids=["curve-json", "curve-csv", "homotopy", "config"])
+def test_unreadable_file_starts_with_path(tmp_path, name, load, case):
+    # every input file is read by one function, whose every failure is a
+    # ParseError that starts with the path and says why
+    p = tmp_path / name
+    if case == "directory":
+        p.mkdir()
+    elif case == "not-utf8":
+        p.write_bytes(b"\xff")
+    reason = {"missing": "No such file or directory",
+              "directory": "Is a directory",
+              "not-utf8": "byte 0: not UTF-8 text"}[case]
+    with pytest.raises(ParseError) as err:
+        load(p)
+    assert str(err.value) == f"{p}: {reason}"
 
 
 class TestConfig:
@@ -363,6 +413,24 @@ class TestConfig:
         with pytest.raises(ParseError):
             parse_config("eps_schedule = 1e-3 1e-2")
 
+    @pytest.mark.parametrize("line,key", [
+        ("weights = ١,0,1", "weights"), ("max_iters = 1_0", "max_iters"),
+        ("grid = 4 ٣٢", "grid"), ("grad_tol = ０.1", "grad_tol"),
+    ], ids=["arabic-indic", "underscore", "arabic-indic-int", "fullwidth"])
+    def test_number_rule_of_config_and_flags(self, tmp_path, capsys, line,
+                                             key):
+        # float() reads "1_0" as 10 and "١" as 1; a number here is ASCII
+        with pytest.raises(ParseError, match=f"config key '{key}': "):
+            parse_config(line)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["check-grad", "--config", str(cfg)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        if key == "weights":
+            assert main(["check-grad", "--weights", "١,0,1"]) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: config key 'weights': ")
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(tmp_path / "nope.cfg")
@@ -427,6 +495,53 @@ class TestCli:
                    "--target", str(tmp_path / "no.json")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_energy_missing_file_message(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["energy", "missing.json"]) == 1
+        assert capsys.readouterr().err == \
+            "error: missing.json: No such file or directory\n"
+
+    def test_geodesic_without_source_exits_1(self, rng, tmp_path, capsys):
+        _, tgt = self.pair(rng, tmp_path)
+        assert main(["geodesic", "--target", tgt]) == 1
+        assert capsys.readouterr().err == "error: no source curve given\n"
+
+    def test_non_immersed_input_exits_1(self, rng, tmp_path, capsys):
+        # a repeated node: segment 1 has length 0
+        src = write_curve_json(tmp_path / "bad.json",
+                               [[0, 0], [1, 0], [1, 0], [0, 1]])
+        _, tgt = self.pair(rng, tmp_path)
+        assert main(["match", "--source", src, "--target", tgt]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {src}: immersion failure at segment 1\n"
+
+    def test_coincident_nodes_exit_1(self, rng, tmp_path, capsys):
+        src = write_curve_json(tmp_path / "dot.json", [[1, 1]] * 3)
+        _, tgt = self.pair(rng, tmp_path)
+        assert main(["match", "--source", src, "--target", tgt]) == 1
+        assert capsys.readouterr().err == "error: degenerate bounding box\n"
+
+    def test_opposite_orientations_warn(self, rng, tmp_path, capsys):
+        curve = fourier_curve(rng, 60).nodes
+        src = write_curve_json(tmp_path / "ccw.json", curve)
+        tgt = write_curve_json(tmp_path / "cw.json", curve[::-1])
+        assert main(["match", "--source", src, "--target", tgt]) == 0
+        captured = capsys.readouterr()
+        assert float(captured.out) >= 0
+        assert captured.err.startswith(
+            "warning: source and target have opposite orientations")
+
+    def test_geodesic_grad_tol_exits_0(self, rng, tmp_path, capsys):
+        src, tgt = self.pair(rng, tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grad_tol = 0.9\ngrid = 4 24\n")
+        rc = main(["geodesic", "--config", str(cfg), "--source", src,
+                   "--target", tgt, "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert capsys.readouterr().out.rstrip().endswith(
+            "termination grad_tol")
 
     def test_geodesic_smoke(self, rng, tmp_path, capsys):
         src, tgt = self.pair(rng, tmp_path)
@@ -705,6 +820,33 @@ class TestCli:
         assert text.startswith("<svg")
         # one polygon per slice plus the black source overlay
         assert text.count("<polygon") == 5
+
+    @pytest.mark.parametrize("config", ["", "out = bvgeo_out\n"],
+                             ids=["unset", "set-to-bvgeo_out"])
+    def test_export_svg_default_out(self, rng, tmp_path, monkeypatch,
+                                    capsys, config):
+        # unset, out is the homotopy's name with .svg; a config line that
+        # sets it, to any value, is obeyed
+        monkeypatch.chdir(tmp_path)
+        save_homotopy(Homotopy(smooth_homotopy(rng, 3, 16)), "h.json")
+        Path("run.cfg").write_text(config)
+        assert main(["export-svg", "h.json", "--config", "run.cfg"]) == 0
+        want = "bvgeo_out.svg" if config else "h.svg"
+        assert capsys.readouterr().out == f"wrote {want}\n"
+        assert [p.name for p in tmp_path.glob("*.svg")] == [want]
+
+    def test_export_svg_target_outline(self, rng, tmp_path, monkeypatch,
+                                       capsys):
+        # --target adds its dashed outline; --out pic writes pic.svg
+        monkeypatch.chdir(tmp_path)
+        save_homotopy(Homotopy(smooth_homotopy(rng, 4, 24)), "h.json")
+        write_curve_json(tmp_path / "t.json", fourier_curve(rng, 30).nodes)
+        assert main(["export-svg", "h.json", "--target", "t.json",
+                     "--out", "pic"]) == 0
+        assert capsys.readouterr().out == "wrote pic.svg\n"
+        text = Path("pic.svg").read_text()
+        assert text.count("<polygon") == 6
+        assert text.count('stroke-dasharray="6,4"') == 1
 
     def test_svg_polyline_formats_as_numpy_scalars(self, rng):
         # Python floats from tolist() print as the np.float64 rows did

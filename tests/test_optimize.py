@@ -615,6 +615,26 @@ class TestContinuation:
         assert last["objective"] == pytest.approx(
             last["objective_at_min_eps"], rel=1e-12)
 
+    def test_grad_tol_stop(self, rng):
+        # a loose relative tolerance ends each stage before max_iters, at a
+        # gradient sup-norm at most grad_tol times the stage's first
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        cfg = OptimConfig(max_iters=500, grad_tol=0.5,
+                          eps_schedule=(1e-1, 1e-2))
+        rep = continuation(init_linear(src, tgt, 4), tgt, MetricSpec(), KP,
+                           cfg)
+        assert rep.termination == "grad_tol"
+        assert [s["termination"] for s in rep.stage_objectives] \
+            == ["grad_tol"] * 2
+        norms = rep.grad_norm_trace
+        start = 0
+        for iters in rep.iters_per_stage:
+            assert 0 < iters < cfg.max_iters
+            first, last = norms[start], norms[start + iters]
+            assert last <= cfg.grad_tol * first
+            start += iters + 1
+        assert start == len(norms)
+
     def test_bv2_schedule_ending_at_zero_refused_first(self, rng,
                                                        objective_calls):
         # the BV2 gradient refuses eps = 0; the refusal comes before the
