@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import (CurveError, PolyCurve, constant_speed_resample,
                      normalize_to_unit_square, signed_area, validate_immersion)
-from .io import (CONFIG_KEYS, ParseError, RunConfig, apply_settings,
+from .io import (CONFIG_KEYS, ParseError, RunConfig, _int, apply_settings,
                  load_config, load_curve, load_homotopy, save_curve,
                  save_homotopy)
 from .matching import match_distance
@@ -51,6 +51,16 @@ def _load_endpoint(path: str, cfg: RunConfig, what: str) -> PolyCurve:
     return curve
 
 
+def _require_immersed(h: Homotopy, where) -> None:
+    """Refuse a homotopy with a slice that fails the immersion test, as
+    ``_load_endpoint`` refuses a curve: the energy is defined on immersed
+    slices, and unsmoothed kernels divide by zero at a repeated node."""
+    bad = h.validate_slices()
+    if bad is not None:
+        raise ParseError(f"{where}: immersion failure at slice {bad[0]}, "
+                         f"segment {bad[1]}")
+
+
 def _prepare_pair(cfg: RunConfig):
     source = constant_speed_resample(_load_endpoint(cfg.source, cfg, "source"),
                                      cfg.n)
@@ -77,6 +87,7 @@ def _cmd_geodesic(args) -> int:
         h0 = init_constant(source, cfg.N)
     else:
         h0 = init_linear(source, target, cfg.N)
+    _require_immersed(h0, "initial homotopy")
     report = continuation(h0, target, cfg.metric, cfg.kernel, cfg.optimizer)
     prefix = Path(cfg.out or "bvgeo_out")
     save_homotopy(report.homotopy, prefix.with_suffix(".homotopy.json"))
@@ -95,6 +106,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_energy(args) -> int:
     cfg = _config_from_args(args)
     h = load_homotopy(args.homotopy)
+    _require_immersed(h, args.homotopy)
     spec = _eval_spec(cfg)
     if cfg.target:
         target = _load_endpoint(cfg.target, cfg, "target")
@@ -130,7 +142,11 @@ def _cmd_check_grad(args) -> int:
 
 def _cmd_resample(args) -> int:
     curve = load_curve(args.source)
-    out = constant_speed_resample(curve, args.nodes)
+    try:
+        nodes = _int(args.nodes)
+    except ValueError as exc:
+        raise ParseError(f"--nodes: {exc}") from exc
+    out = constant_speed_resample(curve, nodes)
     save_curve(out, args.out)
     print(f"wrote {args.out} ({out.n} nodes)")
     return EXIT_OK
@@ -211,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_resample)
     p.add_argument("--source", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", default="256")
     return parser
 
 
@@ -223,10 +239,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.run(args)
-    # ZeroDivisionError: the H2 norm of a stored slice with a repeated node;
     # MemoryError: a grid too large to allocate
-    except (ParseError, CurveError, OSError, ValueError, ZeroDivisionError,
-            MemoryError) as exc:
+    except (ParseError, CurveError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

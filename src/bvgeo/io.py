@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import struct
 from dataclasses import dataclass, field, fields
 from io import StringIO
@@ -72,6 +73,8 @@ def _read_text(path: Path) -> str:
             from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:   # a path with a NUL character
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _read_json(path: Path):
@@ -204,10 +207,12 @@ def _parse_bool(text: str) -> bool:
 
 
 def _numbers(count: int | None = None, integer: bool = False):
-    """Parser of a comma- or space-separated list of numbers (or integers),
-    whose ranges the sections check; count 1 returns the bare value."""
+    """Parser of a list of numbers (or integers) separated by commas,
+    spaces or tabs, whose ranges the sections check; count 1 returns the
+    bare value.  Other whitespace, such as a no-break space, is no
+    separator: str.split() would take it for one."""
     def parse(text: str):
-        items = tuple(map(_number, text.replace(",", " ").split()))
+        items = tuple(map(_number, filter(None, re.split("[, \t]", text))))
         if count is not None and len(items) != count:
             raise ValueError(f"expected {count} values, got {len(items)}")
         if integer:

@@ -27,6 +27,17 @@ finite differences in the test suite); values alone are defined at eps = 0
 and at zero velocity, where the BV2 partials are 0/0.  j0, j1, j2 and the
 *_tangent_norm* functions are single-field wrappers around the kernels.
 
+The kernels' domain has two rules, each stated once here for every caller:
+
+* ``finite_at_any_chords``: the value pass is finite at any chords, zero
+  ones included, where every smoothed length sqrt(|d|^2 + (eps/n)^2) that
+  a kernel divides by is positive, i.e. where (eps/n)^2 > 0.  Where it is
+  0, a zero chord divides by zero (H2 raises ZeroDivisionError); a curve
+  that passes the immersion test has no zero chord.  A kernel that
+  divides by an unsmoothed length must update this predicate.
+* ``require_smooth``: the BV2 gradient is refused at eps = 0, where the
+  objective is nonsmooth.
+
 Known fault: the smoothed BV2 norm is not monotone in eps.  J2 divides by
 |d|_{eps/n}, so eps > 0 shrinks the arclength derivative, which on rough
 fields can outweigh the outer smoothing: the (1, 0, 1) norm at eps = 0.1
@@ -78,6 +89,21 @@ class MetricSpec:
         if self.exponent not in (1, 2):
             raise ValueError("exponent must be 1 or 2")
         object.__setattr__(self, "weights", w)
+
+
+def finite_at_any_chords(spec: MetricSpec, n: int) -> bool:
+    """Whether the kernels' value pass at the spec is finite for every
+    chord configuration of n-node curves, zero chords included: whether
+    the smoothing (eps/n)^2 of the lengths they divide by is positive."""
+    mu = spec.eps / n
+    return mu * mu > 0.0
+
+
+def require_smooth(spec: MetricSpec) -> None:
+    """Refuse a BV2 gradient at eps = 0, where the objective is nonsmooth."""
+    if spec.family == BV2 and spec.eps == 0.0:
+        raise ValueError("BV2 gradient requires eps > 0 (objective is "
+                         "nonsmooth at eps = 0)")
 
 
 @dataclass(frozen=True)

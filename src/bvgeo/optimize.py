@@ -32,7 +32,8 @@ import numpy as np
 from .curves import PolyCurve, converted, length
 from .matching import (KernelParams, floor_constants, match_distance,
                        match_floor, match_gradient, match_slack)
-from .metrics import BV2, MetricSpec, bv2_norm_and_partials, h2_sq_and_partials
+from .metrics import (MetricSpec, bv2_norm_and_partials, finite_at_any_chords,
+                      h2_sq_and_partials, require_smooth)
 from .paths import Homotopy, last_step_power, step_powers
 
 
@@ -121,11 +122,6 @@ class OptimReport:
     match_trace = property(lambda self: self.columns["match_part"])
     grad_norm_trace = property(lambda self: self.columns["grad_norm"])
     step_trace = property(lambda self: self.columns["step"])
-
-
-def _kernels():
-    # looked up here at call time: perfbench/tracing.py wraps these names
-    return bv2_norm_and_partials, h2_sq_and_partials
 
 
 # KernelMatch's empty records: no curve is None
@@ -222,15 +218,17 @@ def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     full evaluation rejects: step powers are >= 0, so the rounded energy
     is at least any one step's share; a step's power is the same bits
     alone or batched; and ``rejects`` is monotone in the energy.  It runs
-    before the immersion test, so ``descend`` probes only where every
-    smoothed chord length sqrt(|d|^2 + (eps/n)^2) is positive.
+    before the immersion test, so ``descend`` probes only where
+    ``metrics.finite_at_any_chords`` holds.
     """
     endpoint = _endpoint(endpoint, target, params)
+    # the kernels are looked up at each call: perfbench/tracing.py wraps them
+    kernels = (bv2_norm_and_partials, h2_sq_and_partials)
     if probe:
-        share = last_step_power(h, spec, _kernels()) / (h.N - 1)
+        share = last_step_power(h, spec, kernels) / (h.N - 1)
         rejected = endpoint.rejects(h, share, bound)
         return np.inf if rejected else np.nan, share, np.nan
-    powers, _ = step_powers(h, spec, False, _kernels())
+    powers, _ = step_powers(h, spec, False, kernels)
     energy = float(powers.sum()) / (h.N - 1)
     if bound is not None and endpoint.rejects(h, energy, bound):
         return np.inf, energy, np.nan
@@ -238,23 +236,17 @@ def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     return energy + match, energy, match
 
 
-def _require_smooth(spec: MetricSpec, eps: float) -> None:
-    """Refuse a BV2 gradient at eps = 0, where the objective is nonsmooth."""
-    if spec.family == BV2 and eps == 0.0:
-        raise ValueError("BV2 gradient requires eps > 0 (objective is "
-                         "nonsmooth at eps = 0)")
-
-
 def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
              params: KernelParams, endpoint=None) -> np.ndarray:
     """Exact objective gradient, (N, n, 2); the pinned slice-0 block is zero.
     For the BV2 family at eps = 0 (a nonsmooth objective) it raises."""
-    _require_smooth(spec, spec.eps)
+    require_smooth(spec)
     endpoint = _endpoint(endpoint, target, params)
     # the match term first: it frees the kernel its trial kept before the
     # energy partials allocate theirs
     match_grad = endpoint.gradient(h.slice_curve(h.N - 1))
-    _, grad = step_powers(h, spec, True, _kernels())
+    _, grad = step_powers(h, spec, True,
+                          (bv2_norm_and_partials, h2_sq_and_partials))
     grad /= (h.N - 1)
     grad[-1] += match_grad
     grad[0] = 0.0
@@ -277,12 +269,9 @@ def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     report.extend([(spec.eps, f, e_part, m_part, gnorm, 0.0)])
 
     min_tau = 1e-20 * tau
-    # the stage's first trials go to objective's probe until one that it
-    # does not reject.  Its kernels run before the immersion test, so only
-    # where every smoothed chord length sqrt(|d|^2 + (eps/n)^2) is
-    # positive: where (eps/n)^2 > 0, which H2 at eps = 0 is not
-    mu = spec.eps / h.n
-    probing = mu * mu > 0.0
+    # the stage's first trials go to objective's probe, whose kernels run
+    # before the immersion test, until one that it does not reject
+    probing = finite_at_any_chords(spec, h.n)
     for _ in range(cfg.max_iters):
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             report.termination = "non_finite"
@@ -338,8 +327,8 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
     "non_finite" or "line_search_failure", else the last stage's.  A BV2
     schedule ending at eps = 0 is refused before the first stage runs.
     """
-    eps_min = cfg.eps_schedule[-1]
-    _require_smooth(spec, eps_min)
+    at_min = replace(spec, eps=cfg.eps_schedule[-1])
+    require_smooth(at_min)
     endpoint = _endpoint(endpoint, target, params)
     merged = OptimReport(homotopy=h0)
     h = h0
@@ -347,13 +336,12 @@ def continuation(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
         rep = descend(h, target, replace(spec, eps=eps), params, cfg,
                       endpoint)
         h = rep.homotopy
-        at_min, _, _ = objective(h, target, replace(spec, eps=eps_min),
-                                 params, endpoint)
+        f_min, _, _ = objective(h, target, at_min, params, endpoint)
         merged.extend(rep.rows)
         merged.iters_per_stage += rep.iters_per_stage
         merged.stage_objectives.append(
             {"eps": eps, "objective": rep.objective_trace[-1],
-             "objective_at_min_eps": at_min,
+             "objective_at_min_eps": f_min,
              "termination": rep.termination})
         if merged.termination not in FAILURES:
             merged.termination = rep.termination

@@ -3,7 +3,8 @@
 Every file that bvgeo reads goes through ``io._read_text``, which turns each
 failure into a ParseError naming the path, and every number text that ``io``
 parses goes through ``io._number``.  A second reader or a direct float()
-call would bring back a path with its own rules.
+call would bring back a path with its own rules, as would ``cli`` passing a
+flag's text to int() or float(), argparse's ``type=int`` included.
 """
 
 import ast
@@ -55,3 +56,13 @@ def test_one_reader_and_one_number_rule():
     floats = {where for where, call in _calls(SRC / "io.py")
               if _name(call) == "float" and isinstance(call.func, ast.Name)}
     assert floats == {"_number"}
+
+
+def test_cli_parses_no_number_text():
+    calls = [call for _, call in _calls(SRC / "cli.py")]
+    assert not [call for call in calls if _name(call) in ("int", "float")
+                and isinstance(call.func, ast.Name)]
+    types = [kw.value for call in calls for kw in call.keywords
+             if kw.arg == "type"]
+    assert not [t for t in types if isinstance(t, ast.Name)
+                and t.id in ("int", "float")]

@@ -248,18 +248,40 @@ class TestHomotopyFiles:
         assert main(["energy", str(p)]) == 1
         assert str(p) in capsys.readouterr().err
 
-    def test_energy_repeated_node_h2_exits_1(self, tmp_path, capsys):
-        # a stored slice with a zero-length segment has no H2 norm at eps 0
+    @staticmethod
+    def repeated_node(tmp_path):
+        # a stored homotopy whose slice 1 repeats node 2 as node 3
         theta = 2 * np.pi * np.arange(8) / 8
         grid = np.repeat(np.stack([np.cos(theta), np.sin(theta)], 1)[None],
                          3, axis=0)
         grid[1, 3] = grid[1, 2]
         p = tmp_path / "repeated.homotopy.json"
         save_homotopy(Homotopy(grid), p)
+        return p
+
+    def test_energy_repeated_node_h2_exits_1(self, tmp_path, capsys):
+        # a stored slice with a zero-length segment has no H2 norm at eps 0
+        p = self.repeated_node(tmp_path)
         assert main(["energy", str(p), "--metric", "h2",
                      "--eps-schedule", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "zero-length segment" in err
+        assert capsys.readouterr().err == \
+            f"error: {p}: immersion failure at slice 1, segment 2\n"
+
+    @pytest.mark.parametrize("metric, eps", [("bv2", "0"), ("bv2", "0.01"),
+                                             ("h2", "0.01")])
+    def test_energy_repeated_node_exits_1_at_any_eps(self, tmp_path, capsys,
+                                                     metric, eps):
+        # where the kernels' values are finite too (or, for BV2 at eps 0,
+        # inf), a slice that fails the immersion test is refused, with or
+        # without a target, before any kernel runs
+        p = self.repeated_node(tmp_path)
+        tgt = write_curve_json(tmp_path / "tgt.json",
+                               [[0, 0], [1, 0], [1, 1], [0, 1]])
+        for extra in ([], ["--target", tgt]):
+            assert main(["energy", str(p), "--metric", metric,
+                         "--eps-schedule", eps] + extra) == 1
+            assert capsys.readouterr().err == \
+                f"error: {p}: immersion failure at slice 1, segment 2\n"
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{",
@@ -416,7 +438,9 @@ class TestConfig:
     @pytest.mark.parametrize("line,key", [
         ("weights = ١,0,1", "weights"), ("max_iters = 1_0", "max_iters"),
         ("grid = 4 ٣٢", "grid"), ("grad_tol = ０.1", "grad_tol"),
-    ], ids=["arabic-indic", "underscore", "arabic-indic-int", "fullwidth"])
+        ("weights = 1\u00a00 1", "weights"),
+    ], ids=["arabic-indic", "underscore", "arabic-indic-int", "fullwidth",
+            "no-break-space"])
     def test_number_rule_of_config_and_flags(self, tmp_path, capsys, line,
                                              key):
         # float() reads "1_0" as 10 and "١" as 1; a number here is ASCII
@@ -430,6 +454,15 @@ class TestConfig:
             assert main(["check-grad", "--weights", "١,0,1"]) == 1
             assert capsys.readouterr().err.startswith(
                 "error: config key 'weights': ")
+
+    def test_path_with_nul_is_named(self, rng, tmp_path, capsys):
+        # Path.read_text raises ValueError, not OSError, at a NUL character
+        src = write_curve_json(tmp_path / "src.json",
+                               fourier_curve(rng, 24).nodes)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"source = {src}\ntarget = a\0b\n")
+        assert main(["match", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: a\0b: embedded null byte\n"
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -800,6 +833,34 @@ class TestCli:
         assert c.n == 64
         lens = c.chord_lengths
         assert lens.max() / lens.min() <= 1 + 1e-8
+
+    @pytest.mark.parametrize("nodes", ["1_0", "٦"])
+    def test_resample_nodes_number_rule(self, rng, tmp_path, capsys, nodes):
+        # int() reads "1_0" as 10 and "٦" as 6; --nodes follows io's rule
+        src = write_curve_json(tmp_path / "c.json", fourier_curve(rng, 8).nodes)
+        out = tmp_path / "r.json"
+        assert main(["resample", "--source", src, "--out", str(out),
+                     "--nodes", nodes]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --nodes: not an ASCII number: {nodes!r}\n"
+        assert not out.exists()
+
+    def test_geodesic_non_immersed_initial_homotopy_exits_1(
+            self, tmp_path, capsys):
+        # the linear blend's middle slice of a square and a 4-node
+        # back-and-forth curve repeats a node, where H2 at eps 0 has no
+        # value; geodesic refuses it before the first stage
+        src = write_curve_json(tmp_path / "square.json",
+                               [[0, 0], [1, 0], [1, 1], [0, 1]])
+        tgt = write_curve_json(tmp_path / "zigzag.json",
+                               [[1, 0], [0, 0], [1, 0], [0, 0]])
+        out = tmp_path / "run"
+        assert main(["geodesic", "--source", src, "--target", tgt,
+                     "--grid", "3,4", "--init", "linear", "--metric", "h2",
+                     "--eps-schedule", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: initial homotopy: immersion failure at slice 1, segment 0\n"
+        assert not out.with_suffix(".homotopy.json").exists()
 
     def test_match_prints_module_value(self, rng, tmp_path, capsys):
         src, tgt = self.pair(rng, tmp_path)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bvgeo import (Homotopy, MetricSpec, PolyCurve, constant_speed_resample,
                    length_bound_check, make_translation_path, path_energy,
                    step_norms, time_constant_speed_reparam, velocity)
+from bvgeo.metrics import finite_at_any_chords
 from bvgeo.paths import last_step_power, step_powers
 from conftest import fourier_curve, smooth_homotopy
 
@@ -76,6 +79,25 @@ class TestLastStep:
             assert "chord_lengths" not in vars(alone)
             assert alone.last_length == float(whole.chord_lengths[-1].sum())
             assert whole.last_length == alone.last_length
+
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize("family", ["bv2", "h2"])
+    def test_probe_gate_is_the_finite_domain(self, rng, family, eps):
+        # the probe's kernels meet a trial's slices before the immersion
+        # test, so the predicate that gates it must hold exactly where the
+        # last step's power is finite at a repeated node of slice N-2
+        grid = smooth_homotopy(rng, 4, 16)
+        grid[-2, 5] = grid[-2, 4]
+        h = Homotopy(grid)
+        spec = MetricSpec(family, (1.0, 1.0, 1.0), eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                finite = bool(np.isfinite(last_step_power(h, spec)))
+            except (RuntimeWarning, ZeroDivisionError):
+                finite = False
+        assert finite_at_any_chords(spec, h.n) == finite
 
 
 class TestVelocity:
