@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from functools import cache
@@ -15,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import (CurveError, PolyCurve, constant_speed_resample,
+from .curves import (PolyCurve, constant_speed_resample,
                      normalize_to_unit_square, signed_area, validate_immersion)
-from .io import (CONFIG_KEYS, ParseError, RunConfig, _int, apply_settings,
-                 load_config, load_curve, load_homotopy, save_curve,
-                 save_homotopy)
+from .io import (CONFIG_KEYS, ParseError, RunConfig, _int, _read_text,
+                 apply_settings, config_settings, load_curve, load_homotopy,
+                 save_curve, save_homotopy)
 from .matching import match_distance
 from .metrics import MetricSpec
 from .optimize import (FAILURES, TRACE_COLUMNS, align_start_node,
@@ -34,9 +35,25 @@ EXIT_OPTIM = 2
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return apply_settings([(key, value) for key, value in vars(args).items()
-                           if key in CONFIG_KEYS and value is not None], cfg)
+    text = _read_text(Path(args.config)) if args.config else ""
+    flags = [(key, value) for key, value in vars(args).items()
+             if key in CONFIG_KEYS and value is not None]
+    return apply_settings([*config_settings(text), *flags])
+
+
+def _outputs(out: str, suffixes) -> list[str]:
+    """The files of the prefix out, one per suffix; an out that ends with a
+    suffix names those of the prefix without it.  Called before any work."""
+    prefix = out.removesuffix(next(filter(out.endswith, suffixes), ""))
+    parent, name = os.path.split(prefix)
+    if "\0" in out or name in ("", ".", ".."):
+        raise ParseError(f"{out}: not a file name")
+    if not os.path.isdir(parent or "."):
+        raise ParseError(f"{out}: no such directory")
+    names = [prefix + s for s in suffixes]
+    for path in filter(os.path.isdir, names):
+        raise ParseError(f"{path}: Is a directory")
+    return names
 
 
 def _load_endpoint(path: str, cfg: RunConfig, what: str) -> PolyCurve:
@@ -82,6 +99,8 @@ def _write_trace(report, path: Path) -> None:
 
 def _cmd_geodesic(args) -> int:
     cfg = _config_from_args(args)
+    json_out, trace_out, svg_out = _outputs(
+        cfg.out or "bvgeo_out", (".homotopy.json", ".trace.csv", ".svg"))
     source, target = _prepare_pair(cfg)
     if cfg.init == "constant":
         h0 = init_constant(source, cfg.N)
@@ -89,11 +108,9 @@ def _cmd_geodesic(args) -> int:
         h0 = init_linear(source, target, cfg.N)
     _require_immersed(h0, "initial homotopy")
     report = continuation(h0, target, cfg.metric, cfg.kernel, cfg.optimizer)
-    prefix = Path(cfg.out or "bvgeo_out")
-    save_homotopy(report.homotopy, prefix.with_suffix(".homotopy.json"))
-    _write_trace(report, prefix.with_suffix(".trace.csv"))
-    prefix.with_suffix(".svg").write_text(
-        render_svg(report.homotopy, target=target))
+    save_homotopy(report.homotopy, json_out)
+    _write_trace(report, Path(trace_out))
+    Path(svg_out).write_text(render_svg(report.homotopy, target=target))
     final = report.objective_trace[-1]
     print(f"objective {final:.6g}  match {report.match_trace[-1]:.6g}  "
           f"termination {report.termination}")
@@ -141,14 +158,15 @@ def _cmd_check_grad(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    out, = _outputs(args.out, ("",))
     curve = load_curve(args.source)
     try:
         nodes = _int(args.nodes)
     except ValueError as exc:
         raise ParseError(f"--nodes: {exc}") from exc
-    out = constant_speed_resample(curve, nodes)
-    save_curve(out, args.out)
-    print(f"wrote {args.out} ({out.n} nodes)")
+    curve = constant_speed_resample(curve, nodes)
+    save_curve(curve, out)
+    print(f"wrote {out} ({curve.n} nodes)")
     return EXIT_OK
 
 
@@ -162,13 +180,11 @@ def _cmd_match(args) -> int:
 
 def _cmd_export_svg(args) -> int:
     cfg = _config_from_args(args)
+    out, = _outputs(cfg.out or os.path.splitext(args.homotopy)[0], (".svg",))
     h = load_homotopy(args.homotopy)
     target = None
     if cfg.target:
         target = _load_endpoint(cfg.target, cfg, "target")
-    out = cfg.out or str(Path(args.homotopy).with_suffix(".svg"))
-    if not out.endswith(".svg"):
-        out += ".svg"
     Path(out).write_text(render_svg(h, target=target))
     print(f"wrote {out}")
     return EXIT_OK
@@ -240,7 +256,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     # MemoryError: a grid too large to allocate
-    except (ParseError, CurveError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,7 +1,7 @@
 """File formats: curve JSON/CSV, homotopy JSON, and the run configuration.
 
 Curve JSON:    {"nodes": [[x, y], ...]}         (>= 3 entries)
-Curve CSV:     two columns x,y per row, no header
+Curve CSV:     two columns x,y per row, no header (a path ending in .csv)
 Homotopy JSON: {"N": int, "n": int, "slices": [[[x, y], ...], ...]}
 
 Every coordinate is a number: a JSON number (not a string or a boolean)
@@ -123,8 +123,11 @@ def load_curve(path) -> PolyCurve:
 
 
 def save_curve(curve: PolyCurve, path) -> None:
-    doc = {"nodes": curve.nodes.tolist()}
-    Path(path).write_text(json.dumps(doc) + "\n")
+    """Write a curve file: CSV if its suffix is .csv, else JSON."""
+    path, rows = Path(path), curve.nodes.tolist()
+    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows)
+                    if path.suffix.lower() == ".csv"
+                    else json.dumps({"nodes": rows}) + "\n")
 
 
 def load_homotopy(path) -> Homotopy:
@@ -183,7 +186,7 @@ class RunConfig:
     init: str = "constant"
     source: str = ""
     target: str = ""
-    out: str = ""   # unset: bvgeo_out, or export-svg's <homotopy>.svg
+    out: str = ""   # file prefix; unset: bvgeo_out, or <homotopy>.svg
     normalize_to_unit_square: bool = True
 
     def __post_init__(self):
@@ -239,13 +242,11 @@ _SECTIONS = {"metric": MetricSpec, "kernel": KernelParams,
              "optimizer": OptimConfig}
 
 
-def apply_settings(settings, base: RunConfig | None = None) -> RunConfig:
-    """base with each (config key, value text) pair applied in order, each
-    value parsed as on its config line.  No two of RunConfig and its
-    sections share a field name, so one flat dict holds them all."""
-    values = dict(vars(base or RunConfig()))
-    for name in _SECTIONS:
-        values.update(vars(values.pop(name)))
+def apply_settings(settings) -> RunConfig:
+    """RunConfig with each (config key, value text) pair applied in order,
+    parsed as on its config line, then checked once; an unset field keeps
+    its default.  RunConfig and its sections share no field name."""
+    values = {}
     for key, text in settings:
         try:
             parsed = CONFIG_KEYS[key](text.strip())
@@ -255,19 +256,17 @@ def apply_settings(settings, base: RunConfig | None = None) -> RunConfig:
                       else [(key, parsed)])
     try:
         sections = {name: cls(**{f.name: values.pop(f.name)
-                                 for f in fields(cls)})
+                                 for f in fields(cls) if f.name in values})
                     for name, cls in _SECTIONS.items()}
         return RunConfig(**sections, **values)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat key = value config document.
-
-    Unknown keys are errors (fail-closed); '#' starts a comment.
+def config_settings(text: str):
+    """The (key, value text) pairs of the flat key = value config document,
+    in order.  Unknown keys are errors (fail-closed); '#' starts a comment.
     """
-    settings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -278,8 +277,11 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
-        settings.append((key, value))
-    return apply_settings(settings)
+        yield key, value
+
+
+def parse_config(text: str) -> RunConfig:
+    return apply_settings(config_settings(text))
 
 
 def load_config(path) -> RunConfig:

@@ -5,6 +5,10 @@ failure into a ParseError naming the path, and every number text that ``io``
 parses goes through ``io._number``.  A second reader or a direct float()
 call would bring back a path with its own rules, as would ``cli`` passing a
 flag's text to int() or float(), argparse's ``type=int`` included.
+
+The same holds for what a command writes and how it is configured: every
+output file is named by ``cli._outputs``, and a run's settings (the config
+file's, then the flags') go through one ``io.apply_settings`` call.
 """
 
 import ast
@@ -56,6 +60,22 @@ def test_one_reader_and_one_number_rule():
     floats = {where for where, call in _calls(SRC / "io.py")
               if _name(call) == "float" and isinstance(call.func, ast.Name)}
     assert floats == {"_number"}
+
+
+def test_one_output_name_rule_and_one_settings_pass():
+    # cli names no output file with with_suffix: _outputs names them all,
+    # export-svg's default too (the homotopy path without its suffix)
+    suffixed = [where for where, call in _calls(SRC / "cli.py")
+                if _name(call) == "with_suffix"]
+    assert suffixed == []
+    apply = next(node for node in ast.walk(ast.parse((SRC / "io.py")
+                                                     .read_text()))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "apply_settings")
+    params = apply.args
+    assert [a.arg for a in params.posonlyargs + params.args
+            + params.kwonlyargs] == ["settings"]
+    assert params.vararg is None and params.kwarg is None
 
 
 def test_cli_parses_no_number_text():

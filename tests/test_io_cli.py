@@ -13,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bvgeo import (Homotopy, KernelParams, MetricSpec, OptimConfig,
-                   ParseError, PolyCurve, RunConfig, continuation, init_linear,
-                   load_config, load_curve, load_homotopy, match_distance,
-                   parse_config, save_curve, save_homotopy)
-from bvgeo import optimize
+                   ParseError, PolyCurve, RunConfig, constant_speed_resample,
+                   continuation, init_linear, load_config, load_curve,
+                   load_homotopy, match_distance, parse_config, save_curve,
+                   save_homotopy)
+from bvgeo import cli, optimize
 from bvgeo.cli import _CONFIGURED, _build_parser, _write_trace, main
 from bvgeo.io import CONFIG_KEYS
 from bvgeo.optimize import TRACE_COLUMNS
@@ -247,6 +248,25 @@ class TestHomotopyFiles:
         p.write_text(text)
         assert main(["energy", str(p)]) == 1
         assert str(p) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,reason", [
+        ('{"N": 2, "n": 3, "slices": [[[0, 0], [1, 0], [0, 1]], '
+         '[[0, 0], [1, 0], [NaN, 1]]]}', "grid contains non-finite "
+         "coordinates"),
+        ('{"N": 2, "n": 3, "slices": [[[0, 0], [1, 0], [0, 1]], '
+         '[[0, 0], [1, 0], [0, -Infinity]]]}', "grid contains non-finite "
+         "coordinates"),
+        ('{"N": 2, "n": 3, "slices": [5, 6]}',
+         "slices do not have the shape N=2, n=3"),
+    ], ids=["nan", "infinity", "slices-without-length"])
+    def test_energy_refusal_names_path_and_reason(self, tmp_path, capsys,
+                                                  text, reason):
+        # json reads NaN and Infinity as floats, which Homotopy refuses;
+        # a slice that is a number has no length to compare with n
+        p = tmp_path / "bad.homotopy.json"
+        p.write_text(text)
+        assert main(["energy", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {reason}\n"
 
     @staticmethod
     def repeated_node(tmp_path):
@@ -834,6 +854,19 @@ class TestCli:
         lens = c.chord_lengths
         assert lens.max() / lens.min() <= 1 + 1e-8
 
+    def test_resample_csv_out_reads_back(self, rng, tmp_path, capsys):
+        # --out c.csv writes CSV (repr floats), which match and load_curve
+        # read back bitwise
+        src = write_curve_json(tmp_path / "c.json", fourier_curve(rng, 50).nodes)
+        out = tmp_path / "r.csv"
+        assert main(["resample", "--source", src, "--out", str(out),
+                     "--nodes", "40"]) == 0
+        want = constant_speed_resample(load_curve(src), 40).nodes
+        assert out.read_text() == "".join(f"{x!r},{y!r}\n"
+                                          for x, y in want.tolist())
+        assert load_curve(out).nodes.tobytes() == want.tobytes()
+        assert main(["match", "--source", str(out), "--target", src]) == 0
+
     @pytest.mark.parametrize("nodes", ["1_0", "٦"])
     def test_resample_nodes_number_rule(self, rng, tmp_path, capsys, nodes):
         # int() reads "1_0" as 10 and "٦" as 6; --nodes follows io's rule
@@ -844,6 +877,85 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"error: --nodes: not an ASCII number: {nodes!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("out,prefix", [
+        ("run", "run"), ("run.v1", "run.v1"), ("run.svg", "run"),
+        ("run.trace.csv", "run"), ("run.v1.homotopy.json", "run.v1"),
+    ])
+    def test_geodesic_out_is_a_file_prefix(self, rng, tmp_path, capsys, out,
+                                           prefix):
+        # out plus each suffix; an out that ends with one is its prefix
+        src, tgt = self.pair(rng, tmp_path)
+        (tmp_path / "run.cfg").write_text("max_iters = 1\ngrid = 3 24\n")
+        assert main(["geodesic", "--source", src, "--target", tgt,
+                     "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(tmp_path / out)]) == 0
+        written = {p.name for p in tmp_path.iterdir()} - {"src.json",
+                                                         "tgt.json", "run.cfg"}
+        assert written == {prefix + ".homotopy.json", prefix + ".trace.csv",
+                           prefix + ".svg"}
+
+    @pytest.mark.parametrize("line,flags,path,reason", [
+        ("out = .", [], ".", "not a file name"),
+        ("out = ..", [], "..", "not a file name"),
+        ("out = results/", [], "results/", "not a file name"),
+        ("out = a\0b", [], "a\0b", "not a file name"),
+        ("", ["--out", "nodir/run"], "nodir/run", "no such directory"),
+        ("", ["--out", "d"], "d.svg", "Is a directory"),
+    ], ids=["dot", "dot-dot", "trailing-slash", "nul", "no-parent",
+            "directory"])
+    def test_geodesic_bad_out_refused_before_work(
+            self, rng, tmp_path, monkeypatch, capsys, line, flags, path,
+            reason):
+        src, tgt = self.pair(rng, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.svg").mkdir()
+        (tmp_path / "run.cfg").write_text(line + "\n")
+
+        def no_run(*args):
+            raise AssertionError("continuation called")
+        monkeypatch.setattr(cli, "continuation", no_run)
+        before = set(tmp_path.iterdir())
+        assert main(["geodesic", "--source", src, "--target", tgt,
+                     "--config", "run.cfg", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv,err", [
+        (["export-svg", "h.json", "--out", "nodir/pic"],
+         "nodir/pic: no such directory"),
+        (["export-svg", "h.json", "--out", "d.svg"], "d.svg: Is a directory"),
+        (["export-svg", "."], ".: not a file name"),
+        (["resample", "--source", "c.json", "--out", "d.svg"],
+         "d.svg: Is a directory"),
+        (["resample", "--source", "c.json", "--out", "nodir/c.csv"],
+         "nodir/c.csv: no such directory"),
+        (["resample", "--source", "c.json", "--out", "c/"],
+         "c/: not a file name"),
+    ], ids=["svg-no-parent", "svg-directory", "svg-default-of-dot",
+            "resample-directory", "resample-no-parent",
+            "resample-trailing-slash"])
+    def test_bad_out_refused_before_reading(self, tmp_path, monkeypatch,
+                                            capsys, argv, err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.svg").mkdir()
+
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+        monkeypatch.setattr(cli, "load_homotopy", no_read)
+        monkeypatch.setattr(cli, "load_curve", no_read)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_flag_repairs_a_config_value(self, tmp_path, capsys):
+        # the file's settings and the flags are checked once, together, so
+        # a flag replaces a config value that would fail the check
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps_schedule = 1e-3 1e-2\n")
+        assert main(["check-grad", "--config", str(cfg)]) == 1
+        assert "eps_schedule" in capsys.readouterr().err
+        assert main(["check-grad", "--config", str(cfg),
+                     "--eps-schedule", "1e-2,1e-3"]) == 0
 
     def test_geodesic_non_immersed_initial_homotopy_exits_1(
             self, tmp_path, capsys):
@@ -908,6 +1020,14 @@ class TestCli:
         text = Path("pic.svg").read_text()
         assert text.count("<polygon") == 6
         assert text.count('stroke-dasharray="6,4"') == 1
+
+    def test_export_svg_coincident_nodes(self, tmp_path, capsys):
+        # every node at one point: a zero span, drawn at span 1
+        hp = tmp_path / "h.json"
+        save_homotopy(Homotopy(np.full((3, 4, 2), 0.5)), hp)
+        assert main(["export-svg", str(hp)]) == 0
+        text = (tmp_path / "h.svg").read_text()
+        assert text.startswith("<svg") and text.count("<polygon") == 4
 
     def test_svg_polyline_formats_as_numpy_scalars(self, rng):
         # Python floats from tolist() print as the np.float64 rows did
