@@ -6,15 +6,16 @@ discrete formulas exactly (the J-term partials from ``metrics`` plus the
 matching gradient); it is checked against central finite differences in the
 test suite rather than trusted on faith.
 
-Descent uses backtracking Armijo line search.  A step whose iterate fails
-the discrete immersion test on any slice is treated as a line-search
-rejection, which keeps all iterates inside the open set of immersed curves.
-A trial is evaluated immersion, then energy, then a second-order lower
-bound on its match term about the iterate, then match, and stops at the
-first of them that rejects it (see ``objective``'s bound).  A stage's
-first trials, whose steps start far above the one the stage accepts, go
-first to ``objective``'s probe, which may reject them exactly on the
-energy of their last step alone, until one that it does not reject.
+``descend`` steps along d = -g by ``_line_search``, a backtracking Armijo
+search along any descent direction.  A trial that fails the discrete
+immersion test on any slice is rejected, which keeps all iterates inside
+the open set of immersed curves.  A trial is evaluated immersion, then
+energy, then a second-order lower bound on its match term about the
+iterate, then match, and stops at the first of them that rejects it (see
+``objective``'s bound).  Only a stage's first line search, whose steps
+start far above the one it accepts, probes: its trials go first to
+``objective``'s probe, which may reject them exactly on the energy of
+their last step alone, until one that it does not reject.
 ``continuation`` reports a failed stage ahead of the stages after it.
 One endpoint object (``KernelMatch``) serves a whole run and keeps two
 records: the last trial's curve with its H and kernel, and the iterate's
@@ -72,7 +73,7 @@ class OptimConfig:
 # The line search: a stage's first trial step is TAU0 / (1 + |g|_inf); each
 # later iteration first tries the last accepted step over SHRINK (twice it);
 # each rejected trial, whether not immersed or short of the Armijo decrease
-# f - ARMIJO t |g|^2, multiplies the step by SHRINK (halves it); and the
+# f + ARMIJO t <g, d>, multiplies the step by SHRINK (halves it); and the
 # search gives up below 1e-20 of the stage's first step.
 TAU0, SHRINK, ARMIJO = 1.0, 0.5, 1e-4
 
@@ -135,7 +136,7 @@ class KernelMatch:
     immutable).  The last trial is (curve, H, kernel), the last curve it
     evaluated, kept until a gradient there takes the kernel.  The iterate
     is (curve, H, gradient, floor), its last gradient's curve, about which
-    ``descend`` takes its trials, with ``match_floor``'s constants there,
+    ``_line_search`` takes its trials, with ``match_floor``'s constants there,
     built from the kernel with the gradient.
     """
 
@@ -218,7 +219,7 @@ def objective(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     full evaluation rejects: step powers are >= 0, so the rounded energy
     is at least any one step's share; a step's power is the same bits
     alone or batched; and ``rejects`` is monotone in the energy.  It runs
-    before the immersion test, so ``descend`` probes only where
+    before the immersion test, so ``_line_search`` probes only where
     ``metrics.finite_at_any_chords`` holds.
     """
     endpoint = _endpoint(endpoint, target, params)
@@ -253,62 +254,65 @@ def gradient(h: Homotopy, target: PolyCurve, spec: MetricSpec,
     return grad
 
 
+def _line_search(h: Homotopy, f, d, slope, t, min_t, probing, args):
+    """Backtracking Armijo search from h along d, a descent direction of
+    h's shape that is zero on the pinned slices, of slope <g, d>: gives
+    (t, trial, parts) for the first trial Homotopy(h.grid + t * d), t
+    shrinking by SHRINK, that is immersed with an objective at most
+    f + ARMIJO t slope, or None once t <= min_t.  While probing, trials go
+    first to ``objective``'s probe, until one that it does not reject.
+    args is (target, spec, params, endpoint)."""
+    while t > min_t:
+        trial = Homotopy(h.grid + t * d)
+        threshold = f + ARMIJO * t * slope
+        probing = probing and objective(
+            trial, *args, bound=threshold, probe=True)[0] == np.inf
+        if not probing and trial.validate_slices() is None:
+            parts = objective(trial, *args, bound=threshold)
+            if parts[0] <= threshold:
+                return t, trial, parts
+        t *= SHRINK
+    return None
+
+
 def descend(h0: Homotopy, target: PolyCurve, spec: MetricSpec,
             params: KernelParams, cfg: OptimConfig,
             endpoint=None) -> OptimReport:
-    """Armijo-backtracking gradient descent at the spec's fixed eps."""
+    """Armijo-backtracking gradient descent at the spec's fixed eps: each
+    iterate is evaluated once, and ``_line_search`` steps along -g."""
     report = OptimReport(homotopy=h0)
-    h = h0
-    endpoint = _endpoint(endpoint, target, params)
-
-    f, e_part, m_part = objective(h, target, spec, params, endpoint)
-    g = gradient(h, target, spec, params, endpoint)
-    gnorm = float(np.max(np.abs(g)))
-    tol = cfg.grad_tol * max(gnorm, 1e-300)
-    tau = TAU0 / (1.0 + gnorm)
-    report.extend([(spec.eps, f, e_part, m_part, gnorm, 0.0)])
-
-    min_tau = 1e-20 * tau
-    # the stage's first trials go to objective's probe, whose kernels run
-    # before the immersion test, until one that it does not reject
-    probing = finite_at_any_chords(spec, h.n)
-    for _ in range(cfg.max_iters):
+    h, t = h0, 0.0
+    args = (target, spec, params, _endpoint(endpoint, target, params))
+    f, e_part, m_part = objective(h, *args)
+    for k in range(cfg.max_iters + 1):
+        g = gradient(h, *args)
+        gnorm = float(np.max(np.abs(g)))
+        report.extend([(spec.eps, f, e_part, m_part, gnorm, t)])
+        tau = TAU0 / (1.0 + gnorm) if k == 0 else t / SHRINK
+        if k == 0:
+            tol, min_tau = cfg.grad_tol * max(gnorm, 1e-300), 1e-20 * tau
+        if k == cfg.max_iters:
+            report.termination = "max_iters"
+            break
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             report.termination = "non_finite"
             break
         if gnorm <= tol:
             report.termination = "grad_tol"
             break
-        gsq = float(np.sum(g * g))
-        t = tau
-        while t > min_tau:
-            cand = Homotopy(h.grid - t * g)
-            threshold = f - ARMIJO * t * gsq
-            probing = probing and objective(
-                cand, target, spec, params, endpoint, bound=threshold,
-                probe=True)[0] == np.inf
-            if not probing and cand.validate_slices() is None:
-                f_new, e_new, m_new = objective(cand, target, spec, params,
-                                                endpoint, bound=threshold)
-                if f_new <= threshold:
-                    break
-            t *= SHRINK
-        else:
+        d = -g
+        # bitwise -np.sum(g * g), which np.vdot's BLAS order is not
+        found = _line_search(h, f, d, float(np.sum(g * d)), tau, min_tau,
+                             k == 0 and finite_at_any_chords(spec, h.n), args)
+        if found is None:
             report.termination = "line_search_failure"
             break
-        # accepted only because ARMIJO * t * gsq is below the rounding of f
+        t, trial, (f_new, e_new, m_new) = found
+        # accepted only because ARMIJO * t * slope is below the rounding of f
         if f_new >= f:
             report.termination = "stalled"
             break
-        h = cand
-        f, e_part, m_part = f_new, e_new, m_new
-        g = gradient(h, target, spec, params, endpoint)
-        gnorm = float(np.max(np.abs(g)))
-        tau = t / SHRINK
-        report.extend([(spec.eps, f, e_part, m_part, gnorm, t)])
-    else:
-        report.termination = "max_iters"
-
+        h, f, e_part, m_part = trial, f_new, e_new, m_new
     report.homotopy = h
     report.iters_per_stage.append(len(report.objective_trace) - 1)
     return report

@@ -279,6 +279,93 @@ class TestDescend:
         assert np.array_equal(r1.homotopy.grid, r2.homotopy.grid)
         assert r1.objective_trace == r2.objective_trace
 
+    @staticmethod
+    def _events(monkeypatch):
+        """Wraps optimize.Homotopy, objective and gradient: logs "trial"
+        for each grid built, "probe" for each probe call and "gradient"."""
+        events = []
+        homotopy_, objective_, gradient_ = (optimize.Homotopy,
+                                            optimize.objective,
+                                            optimize.gradient)
+
+        def homotopy(grid):
+            events.append("trial")
+            return homotopy_(grid)
+
+        def objective(*args, probe=False, **kwargs):
+            if probe:
+                events.append("probe")
+            return objective_(*args, probe=probe, **kwargs)
+
+        def gradient(*args):
+            events.append("gradient")
+            return gradient_(*args)
+
+        monkeypatch.setattr(optimize, "Homotopy", homotopy)
+        monkeypatch.setattr(optimize, "objective", objective)
+        monkeypatch.setattr(optimize, "gradient", gradient)
+        return events
+
+    @staticmethod
+    def _trials_per_iteration(events):
+        """Grids built between consecutive gradient calls."""
+        log = " ".join(e for e in events if e != "probe")
+        return [part.split().count("trial")
+                for part in log.split("gradient")[1:-1]]
+
+    def test_step_policy(self, rng, monkeypatch):
+        # the first trial step is 1 / (1 + |g|_inf), each later one twice
+        # the last accepted step, and each rejection halves it: an
+        # iteration makes log2(first trial step / accepted step) + 1 trials
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        h0 = init_constant(src, 5)
+        events = self._events(monkeypatch)
+        rep = descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=30))
+        assert rep.termination == "max_iters"
+        trials = self._trials_per_iteration(events)
+        step, gnorm = rep.step_trace, rep.grad_norm_trace
+        firsts = [1.0 / (1.0 + gnorm[0])] + [2.0 * s for s in step[1:-1]]
+        assert trials == [np.log2(first / s) + 1
+                          for first, s in zip(firsts, step[1:])]
+        assert trials[:5] == [14, 7, 3, 3, 1]
+
+    def test_failed_first_search_makes_67_trials(self, rng, monkeypatch):
+        # the setup of test_line_search_error_on_inconsistent_problem: the
+        # search gives up below 1e-20 of its first step, and
+        # 2**-66 > 1e-20 >= 2**-67
+        h0 = Homotopy(smooth_homotopy(rng, 4, 16))
+        tgt = fourier_curve(rng, 16)
+        values = iter([0.0])
+        hook = FakeEndpoint(lambda curve: next(values, 1e30),
+                            lambda curve: np.zeros_like(curve.nodes))
+        events = self._events(monkeypatch)
+        rep = descend(h0, tgt, BV_SPEC, KP, OptimConfig(max_iters=5),
+                      endpoint=hook)
+        assert rep.termination == "line_search_failure"
+        assert events.count("gradient") == 1
+        assert events.count("trial") == 67
+
+    def test_probes_only_before_a_stages_second_gradient(self, rng,
+                                                          monkeypatch):
+        # only a stage's first line search probes
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        h0 = init_linear(src, tgt, 5)
+        events = self._events(monkeypatch)
+        descend_ = optimize.descend
+
+        def stage(*args):
+            events.append("stage")
+            return descend_(*args)
+
+        monkeypatch.setattr(optimize, "descend", stage)
+        continuation(h0, tgt, H2_SPEC, KP, OptimConfig(max_iters=10))
+        stages = " ".join(events).split("stage")[1:]
+        assert len(stages) == 3
+        for log in stages:
+            before, second, after = log.partition("gradient")[2].partition(
+                "gradient")
+            assert second and "probe" in before and "probe" not in after
+
 
 def _report_bits(rep):
     """Everything a run reports, as bytes and plain values."""
@@ -292,12 +379,13 @@ def _only_cached(h):
 
 
 class TestBoundedTrials:
-    """descend hands each Armijo trial its threshold as objective's bound:
-    the endpoint may reject a trial on its energy alone or on the floor of
-    its match term about the current iterate, and an evaluated trial's
-    kernel serves the gradient that follows.  A stage's first trials go to
-    objective's probe first, which may reject them on their last step's
-    energy.  None of this may change a decision or a bit of the result."""
+    """_line_search hands each Armijo trial its threshold as objective's
+    bound: the endpoint may reject a trial on its energy alone or on the
+    floor of its match term about the current iterate, and an evaluated
+    trial's kernel serves the gradient that follows.  A stage's first line
+    search sends its trials to objective's probe first, which may reject
+    them on their last step's energy.  None of this may change a decision
+    or a bit of the result, along -g or any other descent direction."""
 
     @pytest.fixture
     def record(self, monkeypatch, builds):
@@ -416,6 +504,39 @@ class TestBoundedTrials:
         self._ignore_bound(monkeypatch)
         full = descend(h0, tgt, spec, KP, cfg)
         assert _report_bits(probed) == _report_bits(full)
+
+    @pytest.mark.parametrize("init", ["constant", "linear"])
+    @pytest.mark.parametrize("family", [BV2, H2])
+    def test_exact_along_any_descent_direction(self, rng, monkeypatch,
+                                               record, family, init):
+        # a stage-start search along -P g, P a positive per-slice and
+        # per-node scale: the probe and the bound hold for any direction
+        # of negative slope, not only for -g
+        src, tgt = fourier_curve(rng, 24), fourier_curve(rng, 24)
+        h0 = init_constant(src, 5) if init == "constant" \
+            else init_linear(src, tgt, 5)
+        args = (tgt, replace(BV_SPEC, family=family), KP, KernelMatch(tgt, KP))
+        f, _, _ = objective(h0, *args)
+        g = gradient(h0, *args)
+        scale = np.linspace(0.5, 3.0, h0.N)[:, None, None] \
+            * (1.0 + 0.5 * np.cos(np.arange(h0.n)))[None, :, None]
+        d = -scale * g
+        tau = optimize.TAU0 / (1.0 + float(np.max(np.abs(g))))
+        search = (h0, f, d, float(np.sum(g * d)), tau, 1e-20 * tau, True,
+                  args)
+
+        def bits(found):
+            t, trial, parts = found
+            return t, trial.grid.tobytes(), parts
+
+        screened = bits(optimize._line_search(*search))
+        bound_rejects = record["energy_rejects"] + record["floor_rejects"] \
+            - record["probe_rejects"]
+        assert record["probe_rejects"] > 0
+        if family == BV2:
+            assert bound_rejects > 0
+        self._ignore_bound(monkeypatch)
+        assert screened == bits(optimize._line_search(*search))
 
     def test_rejected_trials_build_few_kernels(self, builds):
         # crossing ellipses at (N, n) = (5, 32) with the default spec and
