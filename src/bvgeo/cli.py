@@ -261,5 +261,26 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The ``bvgeo`` command: main with glibc malloc's mmap and trim
+    thresholds fixed at 32 MiB and 1 GiB, as ``perfbench/run.py`` fixes
+    them, so that the kernels' (n, m) temporaries reuse heap pages rather
+    than being faulted in afresh on each call.  Skipped where the C library
+    or its ``mallopt`` is missing; main itself leaves malloc as it is."""
+    import ctypes
+    try:
+        # the process's own symbols, which include its C library's
+        mallopt = ctypes.CDLL(None).mallopt
+    # no such library, no mallopt in it, or (Windows) no CDLL(None)
+    except (OSError, AttributeError, TypeError):
+        pass
+    else:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)                         # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)                          # M_TRIM_THRESHOLD
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

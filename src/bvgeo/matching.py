@@ -17,13 +17,12 @@ double sum is evaluated exactly as matrix products: with |n - m|^2 =
 for the (n, m) kernel matrix K_ij = k(c_i, d_j) and the (m, 4) target block
 B = [l, l|m|^2, l m].  The gradient multiplies K by B and K' (the kernel's
 radial derivative factor) by B and its products with the midpoints d; the
-currents inner product is sum_k (l n_k)^T K (l m_k).  What remains of the
-O(n m) cost is forming K (two exponentials per segment pair); the products
-are BLAS calls on thin blocks.  The segment data of both curves and the
-target's blocks are cached properties of the curves (``PolyCurve.segments``,
-and ``kernel_block`` and ``kernel_moments``, which ``target_block`` and
-``target_moments`` below build), so a target's side is computed once per
-target object.
+currents inner product sum_k (l n_k)^T K (l m_k) multiplies K by the l m
+columns of B.  What remains of the O(n m) cost is forming K (two
+exponentials per segment pair); the products are BLAS calls on thin blocks.
+Every block K multiplies is cached on its curve (``PolyCurve.kernel_block``
+and ``kernel_moments``, which ``target_block`` and ``target_moments`` below
+build, beside ``segments``), so a curve's side is computed once per object.
 
 Three facts serve the line search in ``optimize``.  H is a sum of
 non-negative terms, and ``match_slack`` bounds how far its computed value
@@ -374,15 +373,15 @@ def match_gradient(a: PolyCurve, b: PolyCurve, params: KernelParams,
     return grad
 
 
+def _currents_dot(x: PolyCurve, y: PolyCurve, params: KernelParams) -> float:
+    """sum_k (l n_k)^T K (l m_k), from the l n columns of both blocks."""
+    k = _kernel_matrices(x.segments[0], y.segments[0], params)[0]
+    return float(np.sum(x.kernel_block[:, 2:] * (k @ y.kernel_block[:, 2:])))
+
+
 def currents_distance_sq(a: PolyCurve, b: PolyCurve,
                          params: KernelParams) -> float:
     """Polarization form <a,a> - 2<a,b> + <b,b> of the kernel inner product
     sum_ij <n_i, m_j> k(c_i, d_j) l_i l_j; zero for identical curves."""
-
-    def dot(x, y):
-        cx, _, nx, lx = x.segments
-        cy, _, ny, ly = y.segments
-        k = _kernel_matrices(cx, cy, params)[0]
-        return float(np.sum((lx[:, None] * nx) * (k @ (ly[:, None] * ny))))
-
-    return dot(a, a) - 2.0 * dot(a, b) + dot(b, b)
+    return (_currents_dot(a, a, params) - 2.0 * _currents_dot(a, b, params)
+            + _currents_dot(b, b, params))

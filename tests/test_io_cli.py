@@ -30,6 +30,16 @@ def write_curve_json(path, nodes):
     return str(path)
 
 
+def run_fresh(argv):
+    """``python -m bvgeo.cli *argv`` in a fresh interpreter on this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "bvgeo.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 # file contents for the loader properties: arbitrary bytes, arbitrary JSON,
 # and documents of the loader's own shape with arbitrary entries (numbers
 # drawn more often, so that some documents are valid)
@@ -1085,13 +1095,7 @@ class TestCli:
         for argv in argvs:
             code = main(argv)
             in_process.append((code, capsys.readouterr().out))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).parents[1] / "src")]
-            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        fresh = [subprocess.run([sys.executable, "-m", "bvgeo.cli", *argv],
-                                capture_output=True, text=True, env=env,
-                                timeout=120)
-                 for argv in argvs]
+        fresh = [run_fresh(argv) for argv in argvs]
         assert in_process == [(p.returncode, p.stdout) for p in fresh]
         assert {code for code, _ in in_process} == {0, 1}
         # the flag changes the value, so a flag left over would show
@@ -1150,3 +1154,69 @@ class TestCli:
         # constant unit velocity: L2-in-space squared norm = curve length
         lens = np.linalg.norm(np.roll(base, -1, axis=0) - base, axis=1)
         assert printed == pytest.approx(lens.sum(), rel=1e-4)
+
+
+class _FakeLibc:
+    """A C library whose mallopt appends its arguments to log."""
+
+    def __init__(self, log):
+        def mallopt(param, value):
+            log.append((param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+class TestRun:
+    """cli.run, the ``bvgeo`` console entry point: main with malloc's mmap
+    and trim thresholds fixed first."""
+
+    def exits(self, monkeypatch, library):
+        """run's exit code and log, with ctypes.CDLL returning library(log)
+        and main logging "main" and returning 3; and the library."""
+        import ctypes
+        log, opened = [], []
+
+        def cdll(name):
+            opened.append(library(log))
+            return opened[-1]
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(cli, "main", lambda: log.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        return exc.value.code, log, opened
+
+    def test_sets_both_thresholds_then_runs_main(self, monkeypatch):
+        import ctypes
+        code, log, (libc,) = self.exits(monkeypatch, _FakeLibc)
+        assert code == 3
+        assert log == [(-3, 32 << 20), (-1, 1 << 30), "main"]
+        assert libc.mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+        assert libc.mallopt.restype is ctypes.c_int
+
+    # OSError where the library is missing; TypeError where CDLL takes no
+    # None for the process's own symbols, as on Windows
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_no_library_still_runs_main(self, monkeypatch, error):
+        def missing(log):
+            raise error("no C library")
+        assert self.exits(monkeypatch, missing)[:2] == (3, ["main"])
+
+    def test_no_mallopt_still_runs_main(self, monkeypatch):
+        assert self.exits(monkeypatch, lambda log: object())[:2] \
+            == (3, ["main"])
+
+    def test_main_makes_no_allocator_call(self, monkeypatch, capsys,
+                                          tmp_path, rng):
+        import ctypes
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda *a: opened.append(a))
+        src = write_curve_json(tmp_path / "a.json", fourier_curve(rng, 32).nodes)
+        tgt = write_curve_json(tmp_path / "b.json", fourier_curve(rng, 40).nodes)
+        assert main(["match", "--source", src, "--target", tgt]) == 0
+        assert main(["--help"]) == 0
+        assert opened == []
+
+    def test_module_help_exits_0(self):
+        done = run_fresh(["--help"])
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: bvgeo")

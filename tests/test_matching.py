@@ -9,7 +9,8 @@ from bvgeo import (KernelParams, PolyCurve, constant_speed_resample,
                    currents_distance_sq, kernel, length, match_distance,
                    match_gradient)
 from bvgeo import optimize
-from bvgeo.matching import floor_constants, match_floor, match_slack
+from bvgeo.matching import (_kernel_matrices, floor_constants, match_floor,
+                            match_slack)
 from bvgeo.optimize import KernelMatch
 from bvgeo.paths import Homotopy
 from conftest import fourier_curve, only_cached
@@ -447,6 +448,29 @@ class TestCurrentsDistance:
             a = fourier_curve(rng, 20)
             b = fourier_curve(rng, 20)
             assert currents_distance_sq(a, b, KP) >= -1e-10
+
+    def test_bitwise_the_per_call_form(self, rng):
+        # the reference forms the length-weighted normals l n on each call;
+        # reading them from kernel_block must give the same bits
+        def per_call(a, b, params):
+            def dot(x, y):
+                cx, _, nx, lx = x.segments
+                cy, _, ny, ly = y.segments
+                k = _kernel_matrices(cx, cy, params)[0]
+                return float(np.sum((lx[:, None] * nx)
+                                    * (k @ (ly[:, None] * ny))))
+            return dot(a, a) - 2.0 * dot(a, b) + dot(b, b)
+
+        sizes = [(3, 512), (512, 3), (511, 512)] + [
+            tuple(int(s) for s in rng.choice(np.arange(3, 513), 2,
+                                             replace=False))
+            for _ in range(27)]
+        for n, m in sizes:
+            a = fourier_curve(rng, n)
+            b = fourier_curve(rng, m, center=(0.55, 0.45))
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert currents_distance_sq(x, y, KP) == per_call(
+                    PolyCurve(x.nodes), PolyCurve(y.nodes), KP)
 
 
 def _broadcast_reference(a, b, params):
